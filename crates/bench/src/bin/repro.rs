@@ -3,7 +3,7 @@
 //! Multiprocessors* (ISCA 1997).
 //!
 //! ```text
-//! repro [--quick | --paper] [--jobs N] [--threads N] [--fresh] [--out DIR] <target>...
+//! repro [--quick | --paper] [--jobs N] [--fresh] [--out DIR] <target>...
 //!
 //! targets: table1 table2 table3 table4 table5 table6 table7
 //!          fig6 fig7 fig8 fig9 fig10 fig11 fig12
@@ -65,8 +65,8 @@
 //! network and protocol-stall components — followed by the machine-wide
 //! blame table (per-component shares of all and of p99-tail miss
 //! cycles). `--txn ID` explains one transaction by its stable id
-//! (e.g. `P3#17`) instead. Output is byte-identical across reruns and
-//! `--threads N`. See `docs/OBSERVABILITY.md`.
+//! (e.g. `P3#17`) instead. Output is byte-identical across reruns. See
+//! `docs/OBSERVABILITY.md`.
 //!
 //! The default scale runs the full 16×4 machine with scaled-down data sets
 //! (minutes); `--paper` uses the paper's Table 5 sizes (hours); `--quick`
@@ -84,20 +84,16 @@
 //! per-run metrics sidecar (the full latency distributions) for every
 //! simulated job; `--blame` additionally records each run's transaction
 //! flight and stamps a per-component blame summary into the sidecar.
-//!
-//! Orthogonally, `--threads N` runs each *individual* simulation on the
-//! conservative-parallel execution core (`Machine::run_parallel`): the
-//! machine is partitioned along the node boundary and advanced in
-//! lookahead-bounded windows on N threads. Every artifact — tables,
-//! goldens, timelines, traces, metrics sidecars — stays byte-identical
-//! to the sequential schedule for any N. See `docs/PARALLEL.md`.
+//! `--jobs` is the only parallelism: each simulation runs on one thread.
+//! A flag `repro` does not know is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ccn_bench::{
     artifact_path, artifact_stamp, checkpoint_path, default_targets, git_describe, golden,
-    jobs_from_flags, options_from_flags, scale_name, sweep_name, SWEEP_TARGETS, TARGETS,
+    jobs_from_flags, options_from_flags, scale_name, split_args, sweep_name, unknown_flag_error,
+    SWEEP_TARGETS, SWITCHES, TARGETS, VALUE_FLAGS,
 };
 use ccn_harness::{Json, SweepSummary};
 use ccn_workloads::suite::SuiteApp;
@@ -183,19 +179,22 @@ fn trace_armed_alloc(size: usize) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The scenario frontend owns its whole argument list.
-    if positional_targets(&args).first() == Some(&"scenario") {
+    let (mut targets, unknown) = split_args(&args, VALUE_FLAGS, SWITCHES);
+    // The scenario frontend owns its whole argument list, flags included.
+    if targets.first() == Some(&"scenario") {
         std::process::exit(ccn_bench::scenario_cli::run(&args));
+    }
+    if let Some(flag) = unknown {
+        eprintln!("{}", unknown_flag_error(flag, VALUE_FLAGS, SWITCHES));
+        std::process::exit(2);
     }
     let opts = options_from_flags(&args);
     let jobs = jobs_from_flags(&args);
-    let sim_threads = (uint_flag(&args, "--threads", 1) as usize).max(1);
     let fresh = args.iter().any(|a| a == "--fresh");
     let out_dir = flag_value(&args, "--out");
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("can create the output directory");
     }
-    let mut targets = positional_targets(&args);
     if targets.is_empty() || targets.contains(&"all") {
         // "all" covers the paper's tables and figures; the extras
         // (ablations, summary, validate, verify, golden) run only when
@@ -218,7 +217,7 @@ fn main() {
     let mut failed = false;
     let mut totals = Totals::default();
     for target in targets {
-        let runner = sweep_runner(target, opts, jobs, sim_threads, &revision, fresh, &args);
+        let runner = sweep_runner(target, opts, jobs, &revision, fresh, &args);
         let start = Instant::now();
         let output = render_target(target, opts, jobs, &args, runner.as_ref(), &mut failed);
         print!("{output}");
@@ -245,50 +244,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Flags that take a value; their values are not targets.
-const VALUE_FLAGS: &[&str] = &[
-    "--out",
-    "--jobs",
-    "--depth",
-    "--nodes",
-    "--lines",
-    "--mutate",
-    "--ordering",
-    "--conf-cases",
-    "--baseline",
-    "--bench-json",
-    "--sample-every",
-    "--tolerance",
-    "--trace",
-    "--arch",
-    "--metrics",
-    "--threads",
-    "--dir-format",
-    "--ring-capacity",
-    "--top",
-    "--txn",
-];
-
-/// The non-flag arguments, with every value flag's value skipped.
-fn positional_targets(args: &[String]) -> Vec<&str> {
-    let mut targets = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            targets.push(a.as_str());
-        }
-    }
-    targets
-}
-
 /// Parses a numeric `--flag N`, exiting with a usage error on garbage.
 fn uint_flag(args: &[String], flag: &str, default: u64) -> u64 {
     match flag_value(args, flag) {
@@ -306,7 +261,6 @@ fn sweep_runner(
     target: &str,
     opts: Options,
     jobs: usize,
-    sim_threads: usize,
     revision: &str,
     fresh: bool,
     args: &[String],
@@ -320,7 +274,6 @@ fn sweep_runner(
         let _ = std::fs::remove_file(&path);
     }
     let mut runner = Runner::parallel(opts, jobs)
-        .with_sim_threads(sim_threads)
         .with_checkpoint(path)
         .with_meta(vec![
             ("sweep", Json::Str(sweep.to_string())),
@@ -418,17 +371,10 @@ fn render_target(
         ),
         "summary" => {
             // Full per-run diagnostics for the headline comparison.
-            use ccnuma::experiments::{run_one_threaded, ConfigMods};
+            use ccnuma::experiments::{run_one, ConfigMods};
             use ccnuma::Architecture;
-            let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
             for arch in [Architecture::Hwc, Architecture::Ppc] {
-                let report = run_one_threaded(
-                    SuiteApp::OceanBase,
-                    arch,
-                    opts,
-                    ConfigMods::default(),
-                    threads,
-                );
+                let report = run_one(SuiteApp::OceanBase, arch, opts, ConfigMods::default());
                 render(&mut out, report.render_summary());
             }
         }
@@ -704,7 +650,6 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
     use ccnuma::experiments::{config_for, ConfigMods};
     use ccnuma::Architecture;
     let mut out = String::new();
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let nodes = uint_flag(args, "--nodes", opts.nodes as u64) as usize;
     let format = match flag_value(args, "--dir-format") {
         None => opts.dir_format,
@@ -784,7 +729,7 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
         let cfg = config_for(app, arch, opts, ConfigMods::default());
         let mut machine =
             ccnuma::Machine::new(cfg, instance.as_ref()).expect("configuration validated above");
-        let report = machine.run_parallel(threads);
+        let report = machine.run();
         let _ = writeln!(
             out,
             "{:<6} {:>12} {:>10.1} {:>11.2} {:>6.1} {:>10.0} {:>13}",
@@ -830,10 +775,9 @@ fn ocean_for(nprocs: usize) -> ccn_workloads::apps::Ocean {
 /// on; `--timeline` additionally dumps the columnar time series as JSON.
 fn run_stats_target(opts: Options, args: &[String]) -> String {
     let every = uint_flag(args, "--sample-every", 1000);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_sampler(every);
-    machine.run_parallel(threads);
+    machine.run();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -860,12 +804,11 @@ fn run_stats_target(opts: Options, args: &[String]) -> String {
 /// and the sampler on, exported as a Chrome `trace_event` JSON document.
 fn run_trace_target(opts: Options, args: &[String]) -> String {
     let every = uint_flag(args, "--sample-every", 1000);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let capacity = (uint_flag(args, "--ring-capacity", 1 << 20) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_trace(capacity);
     machine.enable_sampler(every);
-    let report = machine.run_parallel(threads);
+    let report = machine.run();
     let mut out = String::new();
     let path = obs_artifact(args, "trace", opts);
     std::fs::write(&path, machine.chrome_trace().render_pretty())
@@ -896,10 +839,9 @@ fn run_trace_target(opts: Options, args: &[String]) -> String {
 fn run_explain_target(opts: Options, args: &[String]) -> String {
     let top = (uint_flag(args, "--top", 5) as usize).max(1);
     let capacity = (uint_flag(args, "--ring-capacity", 1 << 20) as usize).max(1);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_flight_recorder(capacity);
-    machine.run_parallel(threads);
+    machine.run();
     let recorder = machine.flight().expect("flight recorder was enabled");
     let blame = recorder.blame();
     let mut out = String::new();

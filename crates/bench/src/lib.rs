@@ -86,6 +86,72 @@ pub const SWEEP_TARGETS: &[&str] = &[
     "table6", "table7", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 ];
 
+/// `repro` flags that consume a value; their values are not targets.
+pub const VALUE_FLAGS: &[&str] = &[
+    "--out",
+    "--jobs",
+    "--depth",
+    "--nodes",
+    "--lines",
+    "--mutate",
+    "--ordering",
+    "--conf-cases",
+    "--baseline",
+    "--bench-json",
+    "--sample-every",
+    "--tolerance",
+    "--arch",
+    "--metrics",
+    "--dir-format",
+    "--ring-capacity",
+    "--top",
+    "--txn",
+];
+
+/// `repro` flags that take no value.
+pub const SWITCHES: &[&str] = &[
+    "--quick",
+    "--paper",
+    "--fresh",
+    "--bless",
+    "--obs",
+    "--timeline",
+    "--blame",
+];
+
+/// Splits a command line into its positional operands, skipping the value
+/// of every flag in `value_flags`. Also returns the first `--flag` that is
+/// neither a value flag nor one of `switches`, so the caller can reject it
+/// instead of misreading its value as an operand.
+pub fn split_args<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> (Vec<&'a str>, Option<&'a str>) {
+    let mut operands = Vec::new();
+    let mut unknown = None;
+    let mut skip_next = false;
+    for a in args {
+        if skip_next {
+            skip_next = false;
+        } else if value_flags.contains(&a.as_str()) {
+            skip_next = true;
+        } else if !a.starts_with("--") {
+            operands.push(a.as_str());
+        } else if unknown.is_none() && !switches.contains(&a.as_str()) {
+            unknown = Some(a.as_str());
+        }
+    }
+    (operands, unknown)
+}
+
+/// The usage error for a flag [`split_args`] did not recognize.
+pub fn unknown_flag_error(flag: &str, value_flags: &[&str], switches: &[&str]) -> String {
+    let mut known: Vec<&str> = value_flags.iter().chain(switches).copied().collect();
+    known.sort_unstable();
+    format!("unknown flag '{flag}'; known flags: {}", known.join(" "))
+}
+
 /// Parses the CLI scale flags into experiment options.
 ///
 /// `--quick` selects a tiny machine and data sets (seconds), `--paper` the
@@ -191,6 +257,24 @@ mod tests {
             scale_name(&options_from_flags(&s(&["--quick"]))),
             "tiny data sets (--quick)"
         );
+    }
+
+    #[test]
+    fn split_args_skips_values_and_names_unknown_flags() {
+        let args = s(&["--quick", "--jobs", "2", "fig6", "--fresh", "table6"]);
+        assert_eq!(
+            split_args(&args, VALUE_FLAGS, SWITCHES),
+            (vec!["fig6", "table6"], None)
+        );
+        // The retired in-simulation thread count and a made-up flag are
+        // both rejected by name.
+        for flag in ["--threads", "--frobnicate"] {
+            let args = s(&["run", flag, "2"]);
+            let (_, unknown) = split_args(&args, VALUE_FLAGS, SWITCHES);
+            assert_eq!(unknown, Some(flag));
+            let msg = unknown_flag_error(flag, VALUE_FLAGS, SWITCHES);
+            assert!(msg.contains(flag) && msg.contains("--jobs"), "{msg}");
+        }
     }
 
     #[test]

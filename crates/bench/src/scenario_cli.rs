@@ -19,6 +19,7 @@
 //! stream to a binary trace (and with `--check` replays it in-process,
 //! demanding an identical report and functional snapshot). `replay` runs
 //! a recorded trace through the timed simulator on any architecture.
+//! A flag the scenario CLI does not know is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,26 +33,26 @@ use ccn_scenario::{
 use ccnuma::sweep::scale_tag;
 use ccnuma::{Architecture, Machine, RunRecord, Runner};
 
-use crate::{git_describe, jobs_from_flags, options_from_flags};
+use crate::{git_describe, jobs_from_flags, options_from_flags, split_args, unknown_flag_error};
 
 /// Cap on recorded ops (~1 GB of decoded trace); `record` refuses larger
 /// workloads instead of exhausting memory.
 const RECORD_OP_LIMIT: u64 = 50_000_000;
 
 /// Flags of the scenario CLI that consume a value.
-const VALUE_FLAGS: &[&str] = &[
-    "--jobs",
-    "--trace",
-    "--arch",
-    "--metrics",
-    "--out",
-    "--threads",
-];
+const VALUE_FLAGS: &[&str] = &["--jobs", "--trace", "--arch", "--metrics"];
+
+/// Flags of the scenario CLI that take no value.
+const SWITCHES: &[&str] = &["--quick", "--paper", "--fresh", "--check"];
 
 /// Entry point: parses `args` (the full argument list, starting at the
 /// `scenario` keyword) and returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let positionals = positionals(args);
+    let (positionals, unknown) = split_args(args, VALUE_FLAGS, SWITCHES);
+    if let Some(flag) = unknown {
+        eprintln!("{}", unknown_flag_error(flag, VALUE_FLAGS, SWITCHES));
+        return 2;
+    }
     debug_assert_eq!(positionals.first().copied(), Some("scenario"));
     let Some(&sub) = positionals.get(1) else {
         eprintln!("usage: repro scenario <list|check|run|record|replay> ...");
@@ -74,26 +75,6 @@ pub fn run(args: &[String]) -> i32 {
             2
         }
     }
-}
-
-/// Non-flag arguments with value-flag values skipped.
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            out.push(a.as_str());
-        }
-    }
-    out
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -203,19 +184,12 @@ fn cmd_check(operands: &[&str]) -> i32 {
 fn cmd_run(operands: &[&str], args: &[String]) -> i32 {
     if operands.is_empty() {
         eprintln!(
-            "usage: repro scenario run SPEC... [--quick|--paper] [--jobs N] [--threads N] [--fresh] [--metrics DIR]"
+            "usage: repro scenario run SPEC... [--quick|--paper] [--jobs N] [--fresh] [--metrics DIR]"
         );
         return 2;
     }
     let opts = options_from_flags(args);
     let jobs = jobs_from_flags(args);
-    let sim_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
     let fresh = args.iter().any(|a| a == "--fresh");
     let metrics_dir = flag_value(args, "--metrics").map(PathBuf::from);
     let revision = git_describe();
@@ -233,7 +207,6 @@ fn cmd_run(operands: &[&str], args: &[String]) -> i32 {
             let _ = std::fs::remove_file(&checkpoint);
         }
         let runner = Runner::parallel(opts, jobs)
-            .with_sim_threads(sim_threads)
             .with_checkpoint(&checkpoint)
             .with_meta(vec![
                 ("sweep", Json::Str(format!("scenario-{}", spec.name))),
@@ -448,9 +421,29 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         assert_eq!(
-            positionals(&args),
-            vec!["scenario", "run", "a.json", "b.json"]
+            split_args(&args, VALUE_FLAGS, SWITCHES),
+            (vec!["scenario", "run", "a.json", "b.json"], None)
         );
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // The retired in-simulation thread count and a made-up flag both
+        // fail before any spec is read.
+        for flag in ["--threads", "--frobnicate"] {
+            let args: Vec<String> = [
+                "scenario",
+                "run",
+                "examples/scenarios/smoke.json",
+                flag,
+                "2",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            assert_eq!(split_args(&args, VALUE_FLAGS, SWITCHES).1, Some(flag));
+            assert_eq!(run(&args), 2);
+        }
     }
 
     #[test]

@@ -126,28 +126,11 @@ pub fn config_for(
 /// Panics if the configuration is invalid or the workload cannot be laid
 /// out on the machine (e.g. indivisible problem sizes).
 pub fn run_one(app: SuiteApp, arch: Architecture, opts: Options, mods: ConfigMods) -> SimReport {
-    run_one_threaded(app, arch, opts, mods, 1)
+    run_one_instrumented(app, arch, opts, mods, None)
 }
 
-/// [`run_one`] with a conservative-parallel execution core on `threads`
-/// worker threads. The report is byte-identical to the sequential one
-/// for any thread count (see [`Machine::run_parallel`]).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_one`].
-pub fn run_one_threaded(
-    app: SuiteApp,
-    arch: Architecture,
-    opts: Options,
-    mods: ConfigMods,
-    threads: usize,
-) -> SimReport {
-    run_one_instrumented(app, arch, opts, mods, threads, None)
-}
-
-/// [`run_one_threaded`] with an optional transaction flight recorder of
-/// the given ring capacity. When enabled, the returned report carries a
+/// [`run_one`] with an optional transaction flight recorder of the given
+/// ring capacity. When enabled, the returned report carries a
 /// [`blame`](SimReport::blame) summary; timing and every other report
 /// field are unchanged (the recorder is strictly observational).
 ///
@@ -159,7 +142,6 @@ pub fn run_one_instrumented(
     arch: Architecture,
     opts: Options,
     mods: ConfigMods,
-    threads: usize,
     flight_capacity: Option<usize>,
 ) -> SimReport {
     let cfg = config_for(app, arch, opts, mods);
@@ -168,7 +150,7 @@ pub fn run_one_instrumented(
     if let Some(capacity) = flight_capacity {
         machine.enable_flight_recorder(capacity);
     }
-    machine.run_parallel(threads)
+    machine.run()
 }
 
 // -------------------------------------------------------------------

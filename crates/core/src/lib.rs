@@ -40,7 +40,6 @@ pub mod experiments;
 pub mod machine;
 mod node;
 pub mod observe;
-mod par;
 pub mod probe;
 pub mod report;
 mod steps;

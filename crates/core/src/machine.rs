@@ -20,7 +20,6 @@ use ccn_controller::EngineRole;
 
 use crate::config::{ConfigError, PlacementPolicy, SystemConfig};
 use crate::node::Node;
-use crate::par::{MachineQueue, Sliced, StallRecord, SyncOp};
 use crate::report::{EngineReport, NodeReport, SimReport};
 use crate::steps::CcRequest;
 use crate::sync::{BarrierOutcome, LockOutcome, SyncState};
@@ -216,14 +215,12 @@ pub(crate) struct Proc {
 pub struct Machine {
     pub(crate) cfg: SystemConfig,
     pub(crate) map: AddressMap,
-    pub(crate) queue: MachineQueue,
-    pub(crate) procs: Sliced<Proc>,
-    pub(crate) nodes: Sliced<Node>,
+    pub(crate) queue: EventQueue<Event>,
+    pub(crate) procs: Vec<Proc>,
+    pub(crate) nodes: Vec<Node>,
     pub(crate) net: Network,
     pub(crate) sync: SyncState,
-    /// Next write version per line (global write serial numbers; shard
-    /// machines derive versions from cached payloads instead — see
-    /// [`Machine::commit_write`] — and the coordinator merges per line).
+    /// Next write version per line (global write serial numbers).
     pub(crate) versions: LineTable<u64>,
     /// Payload (version) currently stored in home memory.
     pub(crate) memory: LineTable<u64>,
@@ -237,7 +234,7 @@ pub struct Machine {
     /// in cycles: full distribution, machine-wide.
     pub(crate) miss_latency: ccn_sim::Histogram,
     /// Per-node L2 miss latency distributions (indexed by node).
-    pub(crate) node_miss_latency: Sliced<ccn_sim::Histogram>,
+    pub(crate) node_miss_latency: Vec<ccn_sim::Histogram>,
     /// Optional cycle-cadenced sampler over the component stats spine
     /// (see [`Machine::enable_sampler`]).
     pub(crate) sampler: Option<ccn_obs::Sampler>,
@@ -252,9 +249,6 @@ pub struct Machine {
     /// Transaction key `(requesting node, line)` of the handler currently
     /// executing, so occupancy spans land on the right transaction.
     pub(crate) flight_key: Option<(u16, u64)>,
-    /// Events scheduled by shard wheels of a finished parallel run, folded
-    /// into [`Machine::events_scheduled`] at reassembly.
-    pub(crate) extra_scheduled: u64,
     /// Observer called on every recorded handler execution; for external
     /// tracing tools that want the full stream, not the bounded ring.
     #[cfg(feature = "component-trace")]
@@ -362,9 +356,9 @@ impl Machine {
         Ok(Machine {
             cfg,
             map,
-            queue: MachineQueue::Seq(queue),
-            procs: Sliced::whole(procs),
-            nodes: Sliced::whole(nodes),
+            queue,
+            procs,
+            nodes,
             net,
             sync,
             versions: LineTable::with_capacity(footprint),
@@ -375,13 +369,12 @@ impl Machine {
             workload_name: app.name(),
             touched_pages: FxHashSet::default(),
             miss_latency: ccn_sim::Histogram::new(),
-            node_miss_latency: Sliced::whole(vec![ccn_sim::Histogram::new(); nodes_len]),
+            node_miss_latency: vec![ccn_sim::Histogram::new(); nodes_len],
             sampler: None,
             current_engine: 0,
             trace: None,
             flight: None,
             flight_key: None,
-            extra_scheduled: 0,
             #[cfg(feature = "component-trace")]
             trace_hook: None,
             useless_invalidations: 0,
@@ -409,7 +402,7 @@ impl Machine {
     /// Panics on deadlock or when the event budget is exhausted.
     pub fn run_with_event_limit(&mut self, max_events: u64) -> SimReport {
         let mut events = 0u64;
-        while let Some((t, ev)) = self.queue.pop_seq() {
+        while let Some((t, ev)) = self.queue.pop() {
             // Take any samples that came due strictly before this event
             // dispatches: the observed state is a pure function of the
             // event history, so timelines are seed-deterministic.
@@ -454,63 +447,6 @@ impl Machine {
         self.build_report()
     }
 
-    /// Runs this shard machine's events strictly before `end`, in
-    /// canonical order; returns `true` if the shard stalled on a
-    /// synchronization operation (recorded in its context for the
-    /// coordinator), `false` once the window is exhausted.
-    pub(crate) fn run_window(&mut self, end: Cycle) -> bool {
-        loop {
-            match self.run_one(end) {
-                None => return false,
-                Some(true) => return true,
-                Some(false) => {}
-            }
-        }
-    }
-
-    /// Executes exactly one event strictly before `end` on this shard
-    /// machine. Returns `None` when the window is exhausted, otherwise
-    /// whether the event stalled on a synchronization operation.
-    pub(crate) fn run_one(&mut self, end: Cycle) -> Option<bool> {
-        let ctx = self
-            .queue
-            .shard_ctx()
-            .expect("window run on a shard machine");
-        debug_assert!(ctx.stall.is_none(), "window resumed with a pending stall");
-        let (t, key, ev) = ctx.wheel.pop_window(end)?;
-        ctx.cur_xi = ctx.exec_log.len() as u32;
-        ctx.emit_idx = 0;
-        ctx.exec_log.push(ccn_sim::par::LogRec {
-            cycle: t,
-            key,
-            meta: (),
-        });
-        match ev {
-            Event::ProcResume(p) => self.run_proc(p as usize, t),
-            Event::CcWork { node, engine } => self.cc_work(node as usize, engine as usize, t),
-            Event::MsgArrive(msg) => self.msg_arrive(msg, t),
-        }
-        Some(
-            self.queue
-                .shard_ctx()
-                .expect("shard context")
-                .stall
-                .is_some(),
-        )
-    }
-
-    /// Re-enters the processor loop interrupted by `rec` after the
-    /// coordinator applied its synchronization operation: continuation
-    /// time `t`, emission counter advanced past any wake-ups the
-    /// operation produced, and the original horizon restored.
-    pub(crate) fn resume_stalled(&mut self, rec: &StallRecord, t: Cycle, emit_idx: u32) {
-        let ctx = self.queue.shard_ctx().expect("resume on a shard machine");
-        ctx.cur_xi = rec.xi;
-        ctx.emit_idx = emit_idx;
-        self.procs[rec.proc].state = ProcState::Runnable;
-        self.proc_loop(rec.proc, t, rec.horizon);
-    }
-
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
@@ -519,7 +455,7 @@ impl Machine {
     /// Total number of events scheduled over the run's lifetime (the
     /// denominator of events-per-second throughput measurements).
     pub fn events_scheduled(&self) -> u64 {
-        self.queue.total_scheduled() + self.extra_scheduled
+        self.queue.total_scheduled()
     }
 
     /// High-water mark of concurrently pending events in the event
@@ -610,17 +546,6 @@ impl Machine {
     }
 
     pub(crate) fn record_flight(&mut self, event: FlightEvent) {
-        if let Some(ctx) = self.queue.shard_ctx() {
-            // Shard machines buffer flight events per window, tagged with
-            // the executing event's log index; the barrier merges them
-            // into the coordinator's recorder in canonical order, so ids,
-            // decompositions and ring drops match the sequential run.
-            if ctx.collect_flight {
-                let xi = ctx.cur_xi;
-                ctx.flight_log.push((xi, event));
-            }
-            return;
-        }
         if let Some(recorder) = &mut self.flight {
             recorder.apply(event);
         }
@@ -666,27 +591,6 @@ impl Machine {
                 occupancy,
             });
         }
-        if let Some(ctx) = self.queue.shard_ctx() {
-            // Shard machines buffer trace events per window, tagged with
-            // the executing event's log index; the barrier merges them
-            // into the coordinator's ring in canonical order, so the
-            // bounded ring's drop pattern matches the sequential run.
-            if ctx.collect_trace {
-                let xi = ctx.cur_xi;
-                ctx.trace_log.push((
-                    xi,
-                    TraceEvent {
-                        time,
-                        node,
-                        engine,
-                        handler,
-                        line,
-                        occupancy,
-                    },
-                ));
-            }
-            return;
-        }
         if let Some(ring) = &mut self.trace {
             ring.push(TraceEvent {
                 time,
@@ -708,22 +612,13 @@ impl Machine {
             return;
         }
         self.procs[p].state = ProcState::Runnable;
-        let t = now.max(self.procs[p].local_time);
+        let mut t = now.max(self.procs[p].local_time);
         // Direct-execution lookahead bound: a processor runs at most this
         // far ahead of the event clock inside one event, so the coherence
         // state it observes is never more than ~one miss latency stale.
         // (Unbounded lookahead would let a long compute phase reorder
         // against concurrent writes.)
         let horizon = t + 200;
-        self.proc_loop(p, t, horizon);
-    }
-
-    /// The processor's direct-execution loop, resumable mid-event: a
-    /// parallel shard stalls out of it at synchronization operations and
-    /// the coordinator re-enters it with the continuation time and the
-    /// *original* horizon (re-deriving the horizon would diverge from the
-    /// sequential schedule).
-    pub(crate) fn proc_loop(&mut self, p: usize, mut t: Cycle, horizon: Cycle) {
         loop {
             if t >= horizon {
                 self.procs[p].local_time = t;
@@ -797,9 +692,6 @@ impl Machine {
                     return;
                 }
                 Op::Barrier(id) => {
-                    if self.shard_stall(SyncOp::Barrier(id), p, t, horizon) {
-                        return;
-                    }
                     let mut released = std::mem::take(&mut self.barrier_scratch);
                     match self
                         .sync
@@ -821,23 +713,15 @@ impl Machine {
                         }
                     }
                 }
-                Op::Lock(id) => {
-                    if self.shard_stall(SyncOp::Lock(id), p, t, horizon) {
+                Op::Lock(id) => match self.sync.lock(id, ProcId(p as u32), t) {
+                    LockOutcome::Acquired { at } => t = at,
+                    LockOutcome::Queued => {
+                        self.procs[p].local_time = t;
+                        self.procs[p].state = ProcState::Blocked;
                         return;
                     }
-                    match self.sync.lock(id, ProcId(p as u32), t) {
-                        LockOutcome::Acquired { at } => t = at,
-                        LockOutcome::Queued => {
-                            self.procs[p].local_time = t;
-                            self.procs[p].state = ProcState::Blocked;
-                            return;
-                        }
-                    }
-                }
+                },
                 Op::Unlock(id) => {
-                    if self.shard_stall(SyncOp::Unlock(id), p, t, horizon) {
-                        return;
-                    }
                     t += 1;
                     if let Some((next, at)) = self.sync.unlock(id, t) {
                         let now = self.queue.now();
@@ -845,9 +729,6 @@ impl Machine {
                     }
                 }
                 Op::StartMeasurement => {
-                    if self.shard_stall(SyncOp::Marker, p, t, horizon) {
-                        return;
-                    }
                     if !self.procs[p].passed_marker {
                         self.procs[p].passed_marker = true;
                         self.marker_count += 1;
@@ -860,62 +741,21 @@ impl Machine {
         }
     }
 
-    /// In a parallel shard, records the synchronization operation for the
-    /// coordinator (which owns the real [`SyncState`]) and parks the
-    /// processor; returns whether the shard stalled. Sequential execution
-    /// falls straight through.
-    fn shard_stall(&mut self, op: SyncOp, p: usize, t: Cycle, horizon: Cycle) -> bool {
-        let Some(ctx) = self.queue.shard_ctx() else {
-            return false;
-        };
-        let xi = ctx.cur_xi;
-        let rec = &ctx.exec_log[xi as usize];
-        assert!(ctx.stall.is_none(), "second stall within one event");
-        ctx.stall = Some(StallRecord {
-            op,
-            proc: p,
-            t,
-            horizon,
-            xi,
-            emit_idx: ctx.emit_idx,
-            entry_cycle: rec.cycle,
-            entry_key: rec.key,
-        });
-        self.procs[p].local_time = t;
-        self.procs[p].state = ProcState::Blocked;
-        true
-    }
-
     /// Stamps a completed store: bumps the line's global version and
-    /// updates the writing processor's cached payload.
-    ///
-    /// A parallel shard has no global counter, but it does not need one:
-    /// a writable copy's cached payload always equals the line's latest
-    /// version (any staler copy would have been invalidated), so the new
-    /// version is `payload + 1`. The sequential path keeps the counter
-    /// and asserts the equivalence; shard tables merge by per-line max at
-    /// reassembly (versions strictly increase along the coherence order,
-    /// so the max is the globally latest write).
+    /// updates the writing processor's cached payload. A writable copy's
+    /// cached payload always equals the line's latest version (any staler
+    /// copy would have been invalidated), which the counter asserts.
     fn commit_write(&mut self, p: usize, line: LineAddr) {
         let cached = self.procs[p].l2.payload_of(line).unwrap_or(0);
-        let v = match &self.queue {
-            MachineQueue::Seq(_) => {
-                let version = self.versions.get_or_insert_with(line, || 0);
-                *version += 1;
-                debug_assert_eq!(
-                    *version,
-                    cached + 1,
-                    "writable copy of {line} held version {cached}, global counter says {}",
-                    *version - 1
-                );
-                *version
-            }
-            MachineQueue::Shard(_) => {
-                let v = cached + 1;
-                *self.versions.get_or_insert_with(line, || 0) = v;
-                v
-            }
-        };
+        let version = self.versions.get_or_insert_with(line, || 0);
+        *version += 1;
+        debug_assert_eq!(
+            *version,
+            cached + 1,
+            "writable copy of {line} held version {cached}, global counter says {}",
+            *version - 1
+        );
+        let v = *version;
         let proc = &mut self.procs[p];
         if proc.l2.state_of(line) == LineState::Exclusive {
             proc.l2.set_state(line, LineState::Modified);
@@ -927,25 +767,6 @@ impl Machine {
     fn start_measurement(&mut self, t: Cycle) {
         ccn_sim::alloc_gate::phase_start();
         self.measure_start = t;
-        self.start_measurement_local(t);
-        // Aggregate flight-recorder state resets with the histograms it
-        // mirrors; in-flight transactions stay live (their fills land in
-        // the measured miss-latency histograms, so the recorder keeps
-        // them too). Parallel runs route the same reset through the
-        // stalling shard's event log instead (see `apply_sync`).
-        self.record_flight(FlightEvent::MeasureReset);
-        Component::reset_stats(&mut self.net);
-        SyncState::reset_stats(&mut self.sync);
-        if let Some(sampler) = &mut self.sampler {
-            sampler.arm(t);
-        }
-    }
-
-    /// The per-machine share of the measured-phase reset: everything a
-    /// parallel shard owns (processors, nodes, shard-local histograms and
-    /// counters). The coordinator applies this to every shard and resets
-    /// the hub network, sync state and sampler itself.
-    pub(crate) fn start_measurement_local(&mut self, _t: Cycle) {
         for proc in self.procs.iter_mut() {
             proc.instr_snapshot = proc.instructions;
             proc.refs_snapshot = proc.references;
@@ -960,6 +781,16 @@ impl Machine {
         self.miss_latency = ccn_sim::Histogram::new();
         for h in self.node_miss_latency.iter_mut() {
             *h = ccn_sim::Histogram::new();
+        }
+        // Aggregate flight-recorder state resets with the histograms it
+        // mirrors; in-flight transactions stay live (their fills land in
+        // the measured miss-latency histograms, so the recorder keeps
+        // them too).
+        self.record_flight(FlightEvent::MeasureReset);
+        Component::reset_stats(&mut self.net);
+        SyncState::reset_stats(&mut self.sync);
+        if let Some(sampler) = &mut self.sampler {
+            sampler.arm(t);
         }
     }
 
@@ -1162,36 +993,10 @@ impl Machine {
 
     /// Injects `msg` into the network at `time` and schedules its
     /// arrival — the single chokepoint every network send goes through.
-    ///
-    /// Sequentially this is inject + deliver + a `MSG_ARRIVE` schedule.
-    /// A parallel shard applies only the egress (sender-side) half on its
-    /// own network and records the send; the coordinator replays the
-    /// delivery half against the hub network at the window barrier, in
-    /// canonical send order, so receiver-side server state and arrival
-    /// cycles are byte-identical to the sequential run.
     pub(crate) fn send_msg(&mut self, time: Cycle, msg: Msg) {
         let bytes = msg.size_bytes(self.cfg.line_bytes);
-        match &mut self.queue {
-            MachineQueue::Seq(queue) => {
-                let arrival = self.net.send(time, msg.from, msg.to, bytes);
-                MSG_ARRIVE.send(queue, arrival, msg);
-            }
-            MachineQueue::Shard(ctx) => {
-                let head_arrives = self.net.inject(time, msg.from, bytes);
-                let key = ccn_sim::par::EKey::Fresh {
-                    shard: ctx.shard,
-                    xi: ctx.cur_xi,
-                    idx: ctx.emit_idx,
-                };
-                ctx.emit_idx += 1;
-                ctx.pending_sends.push(crate::par::PendingSend {
-                    key,
-                    send_time: time,
-                    head_arrives,
-                    msg,
-                });
-            }
-        }
+        let arrival = self.net.send(time, msg.from, msg.to, bytes);
+        MSG_ARRIVE.send(&mut self.queue, arrival, msg);
     }
 
     pub(crate) fn enqueue_cc(
@@ -1509,7 +1314,7 @@ impl Machine {
     /// per-counter plumbing to stay complete.
     pub fn component_stats(&self) -> ComponentStats {
         let mut root = ComponentStats::named("machine");
-        for (i, node) in self.nodes.enumerate_global() {
+        for (i, node) in self.nodes.iter().enumerate() {
             let mut snap = node.stats_snapshot();
             snap.name = format!("node{i}");
             root.children.push(snap);

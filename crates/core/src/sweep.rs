@@ -257,7 +257,6 @@ pub struct SweepStats {
 pub struct Runner {
     opts: Options,
     workers: usize,
-    sim_threads: usize,
     max_attempts: u32,
     progress: bool,
     checkpoint: Option<PathBuf>,
@@ -275,7 +274,6 @@ impl Runner {
         Runner {
             opts,
             workers: 1,
-            sim_threads: 1,
             max_attempts: 1,
             progress: false,
             checkpoint: None,
@@ -292,7 +290,6 @@ impl Runner {
         Runner {
             opts,
             workers: workers.max(1),
-            sim_threads: 1,
             max_attempts: 2,
             progress: true,
             checkpoint: None,
@@ -301,14 +298,6 @@ impl Runner {
             flight_capacity: None,
             tally: Mutex::new(SweepStats::default()),
         }
-    }
-
-    /// Runs each simulation on `threads` conservative-parallel worker
-    /// threads (`Machine::run_parallel`); records stay byte-identical to
-    /// the sequential ones for any value.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
-        self
     }
 
     /// Checkpoints completed jobs to `path` and, on the next run against
@@ -359,11 +348,6 @@ impl Runner {
         self
     }
 
-    /// Conservative-parallel threads per simulation.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
     /// The machine size and problem scale this runner sweeps at.
     pub fn options(&self) -> Options {
         self.opts
@@ -393,11 +377,9 @@ impl Runner {
         let opts = self.opts;
         let jobs: Vec<(String, RunKey)> = keys.iter().map(|k| (k.id(opts), *k)).collect();
         let metrics_dir = self.metrics_dir.clone();
-        let sim_threads = self.sim_threads;
         let flight_capacity = self.flight_capacity;
         self.run_keyed(jobs, move |k| {
-            let report =
-                run_one_instrumented(k.app, k.arch, opts, k.mods, sim_threads, flight_capacity);
+            let report = run_one_instrumented(k.app, k.arch, opts, k.mods, flight_capacity);
             if let Some(dir) = &metrics_dir {
                 let payload = crate::observe::report_metrics(&report);
                 ccn_obs::write_sidecar(dir, &k.id(opts), &payload)

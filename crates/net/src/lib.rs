@@ -50,15 +50,6 @@ impl NetConfig {
             ..NetConfig::default()
         }
     }
-
-    /// The minimum send-to-arrival delay of any message: NI overhead and
-    /// at least one serialization cycle on each side, plus the
-    /// fall-through latency. This is the network's contribution to the
-    /// conservative parallel engine's lookahead — no cross-node message
-    /// can take effect sooner than this after its send.
-    pub fn min_delay(&self) -> Cycle {
-        2 * self.ni_overhead + self.latency_cycles + 2
-    }
 }
 
 /// The machine's interconnection network.
@@ -120,61 +111,15 @@ impl Network {
     /// Sends to self are legal (they still pay port and NI costs); the
     /// machine model never generates them, but the torture tests may.
     pub fn send(&mut self, time: Cycle, from: NodeId, to: NodeId, bytes: u64) -> Cycle {
-        let head_arrives = self.inject(time, from, bytes);
-        self.deliver(time, head_arrives, to, bytes)
-    }
-
-    /// Source-side half of [`Network::send`]: counts the message,
-    /// serializes it through the sender's egress port, and returns the
-    /// cycle at which its head reaches the destination's ingress port.
-    ///
-    /// The parallel engine calls this on the sending node's shard (which
-    /// exclusively owns that egress port) and defers [`Network::deliver`]
-    /// to the window barrier, where deliveries are replayed in the
-    /// canonical sequential send order.
-    pub fn inject(&mut self, time: Cycle, from: NodeId, bytes: u64) -> Cycle {
         self.messages += 1;
         self.bytes += bytes;
         let ser = self.serialization(bytes);
         let injected = self.egress[from.index()].acquire_until(time + self.config.ni_overhead, ser);
-        injected + self.config.latency_cycles
-    }
-
-    /// Destination-side half of [`Network::send`]: serializes the message
-    /// through the destination's ingress port from `head_arrives` on and
-    /// returns the full-delivery cycle. `send_time` is the original send
-    /// cycle, used for the end-to-end transit histogram.
-    pub fn deliver(
-        &mut self,
-        send_time: Cycle,
-        head_arrives: Cycle,
-        to: NodeId,
-        bytes: u64,
-    ) -> Cycle {
-        let ser = self.serialization(bytes);
+        let head_arrives = injected + self.config.latency_cycles;
         let delivered = self.ingress[to.index()].acquire_until(head_arrives, ser);
         let arrival = delivered + self.config.ni_overhead;
-        self.transit.record(arrival - send_time);
+        self.transit.record(arrival - time);
         arrival
-    }
-
-    /// Copies the egress-port state for nodes in `range` from `other`.
-    ///
-    /// During parallel execution each shard owns the egress ports of its
-    /// own nodes while a coordinator-side hub owns every ingress port;
-    /// this reassembles a full network view (for sampling snapshots and
-    /// the end-of-run report) from the partitioned pieces.
-    pub fn adopt_egress(&mut self, other: &Network, range: std::ops::Range<usize>) {
-        for n in range {
-            self.egress[n] = other.egress[n].clone();
-        }
-    }
-
-    /// Adds shard-side message/byte counts into this network's counters
-    /// (the counting half of the same reassembly).
-    pub fn add_traffic(&mut self, messages: u64, bytes: u64) {
-        self.messages += messages;
-        self.bytes += bytes;
     }
 
     /// End-to-end message transit times (send to NI delivery), in cycles,
@@ -292,62 +237,6 @@ mod tests {
         assert_eq!(net.messages(), 0);
         assert_eq!(net.egress_utilization(NodeId(0), 10), 0.0);
         assert_eq!(net.transit_histogram().count(), 0);
-    }
-
-    #[test]
-    fn inject_deliver_composes_to_send() {
-        let mut whole = n(NetConfig::default());
-        let mut split = n(NetConfig::default());
-        let mut last_whole = 0;
-        let mut last_split = 0;
-        for i in 0..8 {
-            last_whole = whole.send(i * 3, NodeId(0), NodeId(1), 144);
-            let head = split.inject(i * 3, NodeId(0), 144);
-            last_split = split.deliver(i * 3, head, NodeId(1), 144);
-        }
-        assert_eq!(last_split, last_whole);
-        assert_eq!(split.messages(), whole.messages());
-        assert_eq!(split.bytes(), whole.bytes());
-        assert_eq!(
-            split.transit_histogram().max(),
-            whole.transit_histogram().max()
-        );
-    }
-
-    #[test]
-    fn min_delay_bounds_every_send() {
-        for cfg in [NetConfig::default(), NetConfig::slow()] {
-            let mut net = Network::new(4, cfg);
-            let arrival = net.send(1000, NodeId(0), NodeId(1), 8);
-            assert_eq!(
-                arrival - 1000,
-                cfg.min_delay(),
-                "8-byte control message is minimal"
-            );
-            let arrival = net.send(5000, NodeId(1), NodeId(2), 144);
-            assert!(arrival - 5000 >= cfg.min_delay());
-        }
-    }
-
-    #[test]
-    fn adopt_egress_reassembles_partitioned_state() {
-        // A shard network carries node 0's egress traffic; the hub carries
-        // ingress. Reassembly must equal the monolithic run.
-        let mut mono = n(NetConfig::default());
-        let mut shard = n(NetConfig::default());
-        let mut hub = n(NetConfig::default());
-        for i in 0..5 {
-            let t = i * 2;
-            mono.send(t, NodeId(0), NodeId(2), 80);
-            let head = shard.inject(t, NodeId(0), 80);
-            hub.deliver(t, head, NodeId(2), 80);
-        }
-        hub.adopt_egress(&shard, 0..1);
-        hub.add_traffic(shard.messages(), shard.bytes());
-        assert_eq!(
-            format!("{:?}", hub.stats_snapshot()),
-            format!("{:?}", mono.stats_snapshot())
-        );
     }
 
     #[test]

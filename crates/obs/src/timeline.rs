@@ -282,13 +282,6 @@ impl Sampler {
         (self.next_due <= now).then_some(self.next_due)
     }
 
-    /// The cycle of the next scheduled sample. Parallel execution caps
-    /// its time windows at this cycle so samples are taken at the exact
-    /// merged machine state the sequential schedule would observe.
-    pub fn next_due(&self) -> Cycle {
-        self.next_due
-    }
-
     /// Records one sample at cycle `at` and schedules the next.
     pub fn record(&mut self, at: Cycle, snapshot: &ComponentStats) {
         self.timeline.push_sample(at, snapshot);

@@ -14,7 +14,9 @@ use std::path::Path;
 use ccn_harness::Json;
 use ccn_workloads::MachineShape;
 use ccnuma::experiments::Options;
-use ccnuma::{Architecture, FunctionalSnapshot, Machine, Runner, SweepRecord, SystemConfig};
+use ccnuma::{
+    Architecture, FunctionalSnapshot, Machine, Runner, SimReport, SweepRecord, SystemConfig,
+};
 
 use crate::scenario::Scenario;
 use crate::spec::ScenarioSpec;
@@ -135,6 +137,17 @@ pub fn run_scenario_case(
     nodes: usize,
     procs_per_node: usize,
 ) -> (ScenarioRecord, FunctionalSnapshot) {
+    let (_, rec, snap) = simulate(scenario, arch, nodes, procs_per_node);
+    (rec, snap)
+}
+
+/// [`run_scenario_case`], also returning the full simulation report.
+fn simulate(
+    scenario: &Scenario,
+    arch: Architecture,
+    nodes: usize,
+    procs_per_node: usize,
+) -> (SimReport, ScenarioRecord, FunctionalSnapshot) {
     let cfg = scenario_config(arch, nodes, procs_per_node);
     let mut machine = Machine::new(cfg, scenario).expect("valid scenario config");
     let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
@@ -157,7 +170,7 @@ pub fn run_scenario_case(
         instructions: report.instructions,
         cc_arrivals: report.cc_arrivals,
     };
-    (rec, snap)
+    (report, rec, snap)
 }
 
 /// Runs `spec` across all four architectures on `runner` and checks the
@@ -188,36 +201,15 @@ pub fn run_scenario_conformance(
         .map(|&arch| (scenario_job_id(spec, nodes, ppn, arch), arch))
         .collect();
     let metrics_dir = metrics_dir.map(Path::to_path_buf);
-    let sim_threads = runner.sim_threads();
     let records: Vec<ScenarioRecord> = runner.run_keyed(jobs, |&arch| {
-        let cfg = scenario_config(arch, nodes, ppn);
-        let mut machine = Machine::new(cfg, &scenario).expect("valid scenario config");
-        let report = machine.run_parallel_with_event_limit(sim_threads, SCENARIO_EVENT_LIMIT);
-        machine.check_quiescent().unwrap_or_else(|e| {
-            panic!(
-                "scenario '{}' on {}: invariant violated: {e}",
-                scenario.spec.name,
-                arch.name()
-            )
-        });
-        let snap = machine.functional_snapshot();
+        let (report, rec, _) = simulate(&scenario, arch, nodes, ppn);
         if let Some(dir) = &metrics_dir {
             let id = scenario_job_id(&scenario.spec, nodes, ppn, arch);
             let payload = ccnuma::observe::report_metrics(&report);
             ccn_obs::write_sidecar(dir, &id, &payload)
                 .unwrap_or_else(|e| panic!("writing metrics sidecar for {id}: {e}"));
         }
-        ScenarioRecord {
-            scenario: scenario.spec.name.clone(),
-            architecture: arch.name().to_string(),
-            digest: snap.digest(),
-            versions: snap.versions.len() as u64,
-            memory: snap.memory.len() as u64,
-            directory: snap.directory.len() as u64,
-            exec_cycles: report.exec_cycles,
-            instructions: report.instructions,
-            cc_arrivals: report.cc_arrivals,
-        }
+        rec
     });
     let base = &records[0];
     for rec in &records[1..] {

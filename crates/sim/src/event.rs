@@ -331,39 +331,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// A destination for scheduled events.
-///
-/// The sequential [`EventQueue`] is the canonical sink; the parallel
-/// execution mode substitutes a shard-local wheel
-/// ([`crate::par::ShardWheel`]-backed) behind the same interface, so
-/// model code that schedules through a [`crate::Port`] (or directly
-/// through this trait) is oblivious to which engine is running it.
-pub trait ScheduleSink<E> {
-    /// Schedules `event` for delivery at cycle `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the sink's past (same contract as
-    /// [`EventQueue::schedule`]).
-    fn schedule(&mut self, at: Cycle, event: E);
-
-    /// The sink's current cycle: the delivery time of the most recently
-    /// popped event.
-    fn now(&self) -> Cycle;
-}
-
-impl<E> ScheduleSink<E> for EventQueue<E> {
-    #[inline]
-    fn schedule(&mut self, at: Cycle, event: E) {
-        EventQueue::schedule(self, at, event);
-    }
-
-    #[inline]
-    fn now(&self) -> Cycle {
-        EventQueue::now(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 //! including the FIFO tie-break among events scheduled for the same
 //! cycle, which follows the order of `send` calls.
 
-use crate::{Cycle, ScheduleSink};
+use crate::{Cycle, EventQueue};
 
 /// A typed endpoint that delivers messages of type `M` as events of the
 /// queue's type `E`.
@@ -52,10 +52,9 @@ impl<M, E> Port<M, E> {
     }
 
     /// Delivers `message` at cycle `at` by scheduling its wrapped event
-    /// into any [`ScheduleSink`] — the sequential [`EventQueue`](crate::EventQueue)
-    /// (crate::EventQueue) or a parallel shard wheel.
+    /// into `queue`.
     #[inline]
-    pub fn send<S: ScheduleSink<E>>(&self, queue: &mut S, at: Cycle, message: M) {
+    pub fn send(&self, queue: &mut EventQueue<E>, at: Cycle, message: M) {
         queue.schedule(at, (self.wrap)(message));
     }
 }

@@ -130,7 +130,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// [`Accumulator`] fed the same integer samples would report (integer
 /// sums stay exact in `f64` below 2^53). Quantiles interpolate within the
 /// containing bucket and are clamped to the observed `[min, max]`, which
-/// makes them deterministic and merge-stable: merging per-shard
+/// makes them deterministic and merge-stable: merging per-node
 /// histograms then asking for p99 gives the same answer as one histogram
 /// fed every sample.
 ///

@@ -239,8 +239,8 @@ fn flight_decomposition_sums_exactly_and_reconciles_with_histograms() {
 }
 
 #[test]
-fn flight_recorder_is_identical_across_thread_counts() {
-    let run = |threads: usize| {
+fn flight_recorder_is_identical_across_reruns() {
+    let run = || {
         let opts = Options::quick();
         let app = SuiteApp::OceanBase;
         let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
@@ -248,30 +248,30 @@ fn flight_recorder_is_identical_across_thread_counts() {
         let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
         machine.enable_trace(1 << 20);
         machine.enable_flight_recorder(1 << 20);
-        let report = machine.run_parallel(threads);
+        let report = machine.run();
         (machine, report)
     };
-    let (seq, seq_report) = run(1);
-    let (par, par_report) = run(2);
+    let (first, first_report) = run();
+    let (again, again_report) = run();
     // The whole recorder surface is byte-identical: the Chrome export
     // (spans + flows), the blame summary, and the report's blame field.
     assert_eq!(
-        seq.chrome_trace().render_pretty(),
-        par.chrome_trace().render_pretty(),
-        "trace/flow exports diverged between thread counts"
+        first.chrome_trace().render_pretty(),
+        again.chrome_trace().render_pretty(),
+        "trace/flow exports diverged between reruns"
     );
     assert_eq!(
-        seq.flight().unwrap().blame().to_json().render_pretty(),
-        par.flight().unwrap().blame().to_json().render_pretty(),
-        "blame summaries diverged between thread counts"
+        first.flight().unwrap().blame().to_json().render_pretty(),
+        again.flight().unwrap().blame().to_json().render_pretty(),
+        "blame summaries diverged between reruns"
     );
     assert_eq!(
-        seq_report.blame.as_ref().map(|b| b.to_json().to_string()),
-        par_report.blame.as_ref().map(|b| b.to_json().to_string()),
+        first_report.blame.as_ref().map(|b| b.to_json().to_string()),
+        again_report.blame.as_ref().map(|b| b.to_json().to_string()),
     );
     // Per-record equality, not just aggregate: ids, hops, components.
-    let a: Vec<_> = seq.flight().unwrap().completed().collect();
-    let b: Vec<_> = par.flight().unwrap().completed().collect();
+    let a: Vec<_> = first.flight().unwrap().completed().collect();
+    let b: Vec<_> = again.flight().unwrap().completed().collect();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.id, y.id);
@@ -281,11 +281,10 @@ fn flight_recorder_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn sparse_format_trace_is_identical_across_thread_counts() {
+fn sparse_format_trace_is_identical_across_reruns() {
     // A sparse directory small enough to force recalls: the recall-driven
-    // invalidation spans must export byte-identically on the parallel
-    // core.
-    let run = |threads: usize| {
+    // invalidation spans must export byte-identically on every rerun.
+    let run = || {
         let opts = Options::quick()
             .with_dir_format(ccn_protocol::DirFormat::parse("sparse:8").expect("valid format"));
         let app = SuiteApp::OceanBase;
@@ -294,21 +293,21 @@ fn sparse_format_trace_is_identical_across_thread_counts() {
         let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
         machine.enable_trace(1 << 20);
         machine.enable_flight_recorder(1 << 20);
-        machine.run_parallel(threads);
+        machine.run();
         machine
     };
-    let seq = run(1);
-    let par = run(2);
-    let a = seq.chrome_trace().render_pretty();
+    let first = run();
+    let again = run();
     assert_eq!(
-        a,
-        par.chrome_trace().render_pretty(),
-        "sparse-format exports diverged between thread counts"
+        first.chrome_trace().render_pretty(),
+        again.chrome_trace().render_pretty(),
+        "sparse-format exports diverged between reruns"
     );
     // The sparse run actually exercised the recall path: its pressure
     // shows up as invalidation-request spans at the sharers.
     assert!(
-        seq.trace()
+        first
+            .trace()
             .iter()
             .any(|ev| ev.handler.contains("invalidation request")),
         "sparse:8 run produced no invalidation spans"
