@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use ccn_harness::Json;
 use ccn_mem::{AccessKind, CacheGeometry, LineAddr, LineState, NodeId, SetAssocCache};
-use ccn_protocol::directory::{DirOutcome, DirRequest, DirRequestKind, Directory};
+use ccn_protocol::directory::{DirFormat, DirOutcome, DirRequest, DirRequestKind, Directory};
 use ccn_sim::{EventQueue, SplitMix64};
 use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
@@ -310,9 +310,11 @@ fn bench_cache_probes(accesses: u64) -> CaseResult {
 /// building a sharer set, a read-exclusive collecting invalidation acks,
 /// and the owner's write-back — the home-side handler sequence the paper's
 /// Table 4 rows are built from. `rounds` counts script executions; the
-/// reported work counts directory operations.
+/// reported work counts directory operations. The directory is the one
+/// a home node of the paper's 16-node machine runs: full map, one sharer
+/// word.
 fn bench_directory(rounds: u64) -> CaseResult {
-    let mut dir = Directory::with_capacity(NodeId(0), 4096);
+    let mut dir: Directory = Directory::with_format(NodeId(0), 4096, DirFormat::FullMap, 16);
     let lines = 4096u64;
     let r1 = NodeId(1);
     let r2 = NodeId(2);

@@ -1,11 +1,12 @@
 //! Set-associative LRU cache with MESI line states.
 //!
-//! The tag store is a single flat `Vec` of ways; a probe compares the
-//! tags of one set's ways (at most the associativity, typically 4)
-//! directly in that array. There are no side maps: residency is the tag
-//! match itself and the eviction pin is a bit in the way, so the probe
-//! and fill paths — the hottest in the whole simulator — allocate
-//! nothing and touch one cache-resident run of memory.
+//! The tag store is one zeroed allocation, 24 bytes per way. A way's
+//! tag, eviction pin and MESI state share one meta word, so a probe reads
+//! one word per way of the set (at most the associativity, typically 4 —
+//! 32 adjacent bytes). The set's last-use ticks and payloads follow its
+//! meta words, touched only on a hit, fill or eviction. There are no side
+//! maps: residency is the tag match itself, so the probe and fill paths —
+//! the hottest in the whole simulator — allocate nothing.
 
 use crate::addr::LineAddr;
 
@@ -129,25 +130,28 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    state: LineState,
-    last_use: u64,
-    /// Data payload carried for protocol checking (a write version number).
-    payload: u64,
-    /// Excluded from victim selection while an outstanding transaction
-    /// depends on the line staying resident.
-    pinned: bool,
-}
+/// Bits of a way's meta word below the tag: the MESI state (two bits,
+/// `Invalid` = 0) and the eviction pin.
+const STATE_BITS: u64 = 0b011;
+const PIN_BIT: u64 = 0b100;
+const TAG_SHIFT: u32 = 3;
 
-const EMPTY_WAY: Way = Way {
-    tag: 0,
-    state: LineState::Invalid,
-    last_use: 0,
-    payload: 0,
-    pinned: false,
-};
+impl LineState {
+    /// The state's code in a way's meta word.
+    fn code(self) -> u64 {
+        self as u64
+    }
+
+    fn from_code(code: u64) -> LineState {
+        const BY_CODE: [LineState; 4] = [
+            LineState::Invalid,
+            LineState::Shared,
+            LineState::Exclusive,
+            LineState::Modified,
+        ];
+        BY_CODE[(code & STATE_BITS) as usize]
+    }
+}
 
 /// Outcome of [`SetAssocCache::fill`]: the line that had to be displaced, if
 /// any.
@@ -183,7 +187,14 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_bits: u32,
     ways_per_set: usize,
-    ways: Vec<Way>,
+    /// The tag store in one zeroed allocation, laid out set by set: a
+    /// set's meta words (`tag << 3 | pinned << 2 | state`), then its
+    /// last-use ticks, then its payloads, so a probe and a hit's tick
+    /// update share one or two adjacent host cache lines. A way is named by the
+    /// index of its meta word. An all-zero meta word is an empty way, so
+    /// a new cache costs one `calloc` and pages in only as sets are
+    /// touched.
+    words: Vec<u64>,
     tick: u64,
     stats: CacheStats,
     /// Number of non-Invalid ways, maintained incrementally.
@@ -204,7 +215,7 @@ impl SetAssocCache {
             set_mask: sets - 1,
             set_bits: (sets - 1).count_ones(),
             ways_per_set,
-            ways: vec![EMPTY_WAY; (sets as usize) * ways_per_set],
+            words: vec![0; 3 * ways_per_set * sets as usize],
             tick: 0,
             stats: CacheStats::default(),
             resident: 0,
@@ -239,19 +250,41 @@ impl SetAssocCache {
             .gauge("miss_ratio", self.stats.miss_ratio())
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 & self.set_mask) as usize
+    /// Index of the first meta word of `line`'s set.
+    fn set_base(&self, line: LineAddr) -> usize {
+        (line.0 & self.set_mask) as usize * 3 * self.ways_per_set
     }
 
-    /// Index of the way holding `line`, found by comparing the tags of
-    /// its set's ways (a handful of adjacent words — no hashing).
+    /// The meta-word tag bits of `line`.
+    #[inline]
+    fn key(&self, line: LineAddr) -> u64 {
+        (line.0 >> self.set_bits) << TAG_SHIFT
+    }
+
+    #[inline]
+    fn state_at(&self, i: usize) -> LineState {
+        LineState::from_code(self.words[i])
+    }
+
+    #[inline]
+    fn last_use_at(&self, i: usize) -> u64 {
+        self.words[i + self.ways_per_set]
+    }
+
+    #[inline]
+    fn payload_at(&self, i: usize) -> u64 {
+        self.words[i + 2 * self.ways_per_set]
+    }
+
+    /// Index of the way holding `line`, found by comparing the meta
+    /// words of its set's ways (a handful of adjacent words — no hashing).
     #[inline]
     fn slot(&self, line: LineAddr) -> Option<usize> {
-        let tag = line.0 >> self.set_bits;
-        let base = self.set_of(line) * self.ways_per_set;
-        self.ways[base..base + self.ways_per_set]
+        let key = self.key(line);
+        let base = self.set_base(line);
+        self.words[base..base + self.ways_per_set]
             .iter()
-            .position(|w| w.state != LineState::Invalid && w.tag == tag)
+            .position(|&m| m & STATE_BITS != 0 && m & !(STATE_BITS | PIN_BIT) == key)
             .map(|i| base + i)
     }
 
@@ -259,12 +292,12 @@ impl SetAssocCache {
     /// LRU or statistics — this is the *snoop* path.
     pub fn state_of(&self, line: LineAddr) -> LineState {
         self.slot(line)
-            .map_or(LineState::Invalid, |i| self.ways[i].state)
+            .map_or(LineState::Invalid, |i| self.state_at(i))
     }
 
     /// The data payload of `line`, if resident.
     pub fn payload_of(&self, line: LineAddr) -> Option<u64> {
-        self.slot(line).map(|i| self.ways[i].payload)
+        self.slot(line).map(|i| self.payload_at(i))
     }
 
     /// Performs a processor access: updates LRU and hit/miss statistics and
@@ -275,13 +308,13 @@ impl SetAssocCache {
         self.tick += 1;
         match self.slot(line) {
             Some(i) => {
-                let state = self.ways[i].state;
+                let state = self.state_at(i);
                 let hit = match kind {
                     AccessKind::Read => state.readable(),
                     AccessKind::Write => state.writable(),
                 };
                 if hit {
-                    self.ways[i].last_use = self.tick;
+                    self.words[i + self.ways_per_set] = self.tick;
                 }
                 match (kind, hit) {
                     (AccessKind::Read, true) => self.stats.read_hits += 1,
@@ -306,26 +339,32 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the line is already resident (fills must pair with misses).
+    /// Panics if the line is already resident (fills must pair with misses)
+    /// or its tag does not fit the meta word (a line number of 2^61 or
+    /// more — beyond any 64-bit byte address).
     pub fn fill(&mut self, line: LineAddr, state: LineState, payload: u64) -> Option<Eviction> {
         assert!(
             self.slot(line).is_none(),
             "fill of already-resident line {line}"
         );
         assert!(state != LineState::Invalid, "cannot fill an Invalid line");
+        assert!(
+            line.0 >> self.set_bits >> (64 - TAG_SHIFT) == 0,
+            "tag of {line} does not fit the meta word"
+        );
         self.tick += 1;
-        let set = self.set_of(line);
-        let base = set * self.ways_per_set;
+        let base = self.set_base(line);
         // Prefer an invalid way; otherwise evict true-LRU among unpinned.
         let mut victim = usize::MAX;
         let mut best = u64::MAX;
         for i in base..base + self.ways_per_set {
-            if self.ways[i].state == LineState::Invalid {
+            let meta = self.words[i];
+            if meta & STATE_BITS == 0 {
                 victim = i;
                 break;
             }
-            if self.ways[i].last_use < best && !self.ways[i].pinned {
-                best = self.ways[i].last_use;
+            if self.last_use_at(i) < best && meta & PIN_BIT == 0 {
+                best = self.last_use_at(i);
                 victim = i;
             }
         }
@@ -333,37 +372,39 @@ impl SetAssocCache {
             victim != usize::MAX,
             "every way of the set is pinned; cannot fill {line}"
         );
-        let evicted = if self.ways[victim].state != LineState::Invalid {
-            let old = self.ways[victim];
-            let old_line = self.line_in_way(victim, old.tag);
+        let old = self.state_at(victim);
+        let evicted = if old != LineState::Invalid {
             self.resident -= 1;
-            if old.state.dirty() {
+            if old.dirty() {
                 self.stats.dirty_evictions += 1;
             } else {
                 self.stats.clean_evictions += 1;
             }
             Some(Eviction {
-                line: old_line,
-                state: old.state,
-                payload: old.payload,
+                line: self.line_in_way(victim),
+                state: old,
+                payload: self.payload_at(victim),
             })
         } else {
             None
         };
-        self.ways[victim] = Way {
-            tag: line.0 >> self.set_bits,
-            state,
-            last_use: self.tick,
-            payload,
-            pinned: false,
-        };
+        self.words[victim] = self.key(line) | state.code();
+        self.words[victim + self.ways_per_set] = self.tick;
+        self.words[victim + 2 * self.ways_per_set] = payload;
         self.resident += 1;
         evicted
     }
 
-    fn line_in_way(&self, way_index: usize, tag: u64) -> LineAddr {
-        let set = (way_index / self.ways_per_set) as u64;
+    fn line_in_way(&self, i: usize) -> LineAddr {
+        let set = (i / (3 * self.ways_per_set)) as u64;
+        let tag = self.words[i] >> TAG_SHIFT;
         LineAddr((tag << self.set_bits) | set)
+    }
+
+    /// Empties way `i`: a zero meta word is Invalid and unpinned.
+    fn clear(&mut self, i: usize) {
+        self.words[i] = 0;
+        self.resident -= 1;
     }
 
     /// Changes the state of a resident line (upgrade, downgrade, or snoop
@@ -377,11 +418,9 @@ impl SetAssocCache {
             .slot(line)
             .unwrap_or_else(|| panic!("set_state on non-resident line {line}"));
         if state == LineState::Invalid {
-            self.ways[i].state = LineState::Invalid;
-            self.ways[i].pinned = false;
-            self.resident -= 1;
+            self.clear(i);
         } else {
-            self.ways[i].state = state;
+            self.words[i] = (self.words[i] & !STATE_BITS) | state.code();
         }
     }
 
@@ -390,11 +429,9 @@ impl SetAssocCache {
     /// dropped earlier).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(LineState, u64)> {
         let i = self.slot(line)?;
-        let old = self.ways[i];
-        self.ways[i].state = LineState::Invalid;
-        self.ways[i].pinned = false;
-        self.resident -= 1;
-        Some((old.state, old.payload))
+        let old = (self.state_at(i), self.payload_at(i));
+        self.clear(i);
+        Some(old)
     }
 
     /// Updates the payload of a resident line (a completed store).
@@ -406,7 +443,7 @@ impl SetAssocCache {
         let i = self
             .slot(line)
             .unwrap_or_else(|| panic!("set_payload on non-resident line {line}"));
-        self.ways[i].payload = payload;
+        self.words[i + 2 * self.ways_per_set] = payload;
     }
 
     /// Pins a resident line against eviction (an outstanding transaction
@@ -415,24 +452,26 @@ impl SetAssocCache {
         let i = self.slot(line);
         debug_assert!(i.is_some(), "pin of non-resident {line}");
         if let Some(i) = i {
-            self.ways[i].pinned = true;
+            self.words[i] |= PIN_BIT;
         }
     }
 
     /// Releases a pin. Idempotent (a no-op on non-resident lines).
     pub fn unpin(&mut self, line: LineAddr) {
         if let Some(i) = self.slot(line) {
-            self.ways[i].pinned = false;
+            self.words[i] &= !PIN_BIT;
         }
     }
 
-    /// Iterates over all resident lines as `(line, state, payload)`.
+    /// Iterates over all resident lines as `(line, state, payload)`, in
+    /// way order.
     pub fn iter_resident(&self) -> impl Iterator<Item = (LineAddr, LineState, u64)> + '_ {
-        self.ways
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.state != LineState::Invalid)
-            .map(|(i, w)| (self.line_in_way(i, w.tag), w.state, w.payload))
+        let a = self.ways_per_set;
+        (0..self.words.len())
+            .step_by(3 * a)
+            .flat_map(move |base| base..base + a)
+            .filter(|&i| self.words[i] & STATE_BITS != 0)
+            .map(|i| (self.line_in_way(i), self.state_at(i), self.payload_at(i)))
     }
 
     /// Number of resident lines.

@@ -36,8 +36,9 @@ pub mod subop;
 
 pub use directory::{
     DirAction, DirOutcome, DirRequest, DirRequestKind, DirState, Directory, Recall, SharerBitmap,
+    SizedDirectory,
 };
 pub use handlers::{HandlerKind, HandlerSpec, Step, TxnPhase};
 pub use msg::{Msg, MsgClass, MsgKind};
-pub use sharers::{DirFormat, SharerSet, DIR_FORMATS, MAX_NODES};
+pub use sharers::{DirFormat, SharerSet, DIR_FORMATS, MAX_NODES, MAX_WORDS};
 pub use subop::{EngineKind, OccupancyTable, SubOp};

@@ -75,40 +75,46 @@ impl AppBuild {
     /// tables (memory images, version stamps) with this so that
     /// steady-state execution never grows them.
     pub fn footprint_lines(&self, line_bytes: u64) -> usize {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        // Each program's ranges are merged on their own first, so the
+        // scratch buffer holds one program's ranges at a time and only
+        // the (few) merged intervals accumulate across programs.
+        let mut scratch: Vec<(u64, u64)> = Vec::new();
+        let mut union: Vec<(u64, u64)> = Vec::new();
         for prog in &self.programs {
-            for seg in prog {
+            scratch.clear();
+            scratch.extend(prog.iter().filter_map(|seg| {
                 let (base, bytes) = match *seg {
                     Segment::Walk { base, bytes, .. } | Segment::RandomWalk { base, bytes, .. } => {
                         (base, bytes.max(1))
                     }
                     Segment::Touch { addr, .. } => (addr, 1),
-                    _ => continue,
+                    _ => return None,
                 };
-                ranges.push((base / line_bytes, (base + bytes - 1) / line_bytes + 1));
-            }
+                Some((base / line_bytes, (base + bytes - 1) / line_bytes + 1))
+            }));
+            merge_ranges(&mut scratch);
+            union.extend_from_slice(&scratch);
         }
-        ranges.sort_unstable();
-        let mut lines = 0;
-        let mut current: Option<(u64, u64)> = None;
-        for (start, end) in ranges {
-            match current {
-                Some((_, open_end)) if start <= open_end => {
-                    current = current.map(|(s, e)| (s, e.max(end)));
-                }
-                _ => {
-                    if let Some((s, e)) = current {
-                        lines += e - s;
-                    }
-                    current = Some((start, end));
-                }
-            }
-        }
-        if let Some((s, e)) = current {
-            lines += e - s;
-        }
-        lines as usize
+        merge_ranges(&mut union);
+        union.iter().map(|(start, end)| end - start).sum::<u64>() as usize
     }
+}
+
+/// Sorts half-open `[start, end)` ranges and coalesces overlapping or
+/// adjacent ones in place, leaving disjoint ranges in ascending order.
+fn merge_ranges(ranges: &mut Vec<(u64, u64)>) {
+    ranges.sort_unstable();
+    let mut merged = 0;
+    for i in 0..ranges.len() {
+        let (start, end) = ranges[i];
+        if merged > 0 && start <= ranges[merged - 1].1 {
+            ranges[merged - 1].1 = ranges[merged - 1].1.max(end);
+        } else {
+            ranges[merged] = (start, end);
+            merged += 1;
+        }
+    }
+    ranges.truncate(merged);
 }
 
 /// An application that can be instantiated on a machine shape.
