@@ -29,7 +29,7 @@
 //!
 //! `verify` runs the protocol verification suite: bounded exhaustive
 //! model checking of the directory protocol (`--nodes N --lines L
-//! --depth D`, optionally under the adversarial `--ordering pair-fifo`
+//! --depth D`, 2 ≤ N ≤ 64, optionally under the adversarial `--ordering pair-fifo`
 //! network or with a seeded bug via `--mutate NAME`), a checker sanity
 //! sweep that demands every seeded mutation be caught, and
 //! cross-architecture differential conformance (`--conf-cases K`).
@@ -998,6 +998,10 @@ fn run_verify(opts: Options, jobs: usize, args: &[String]) -> (String, bool) {
         format,
         ..ModelConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 
     let _ = writeln!(
         out,

@@ -172,3 +172,39 @@ fn config_validation_rejects_nonsense() {
     cfg.dir_cache_entries = 1000;
     assert!(cfg.validate().is_err());
 }
+
+#[test]
+fn machines_past_64_nodes_run_to_quiescence() {
+    use ccnuma_repro::ccn_protocol::DirFormat;
+    use ccnuma_repro::ccn_workloads::suite::{Scale, SuiteApp};
+    // Past 64 nodes the directories switch to their wide sharer sets.
+    // Random sharing among 128 single-processor nodes builds sets that
+    // straddle the one-word boundary, and tiny Barnes adds a real
+    // sharing pattern; a small sparse directory recalls such sets. The
+    // quiescence check matches every remote copy, on nodes above 63
+    // too, against its home's record.
+    let uniform = UniformSharing {
+        region_bytes: 64 * 1024,
+        touches_per_proc: 100,
+        write_percent: 10,
+        ..UniformSharing::default()
+    };
+    let barnes = SuiteApp::Barnes.instantiate(Scale::Tiny);
+    let apps: [&dyn Application; 2] = [&uniform, barnes.as_ref()];
+    for app in apps {
+        for format in [DirFormat::FullMap, DirFormat::Sparse { slots: 8 }] {
+            let cfg = SystemConfig::base()
+                .with_nodes(128)
+                .with_procs_per_node(1)
+                .with_dir_format(format);
+            let mut machine = Machine::new(cfg, app).expect("valid config");
+            let report = machine.run();
+            let what = format!("{} under {}", app.name(), format.label());
+            machine
+                .check_quiescent()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(report.exec_cycles > 0, "{what}");
+            assert!(report.cc_handled > 0, "{what}");
+        }
+    }
+}
