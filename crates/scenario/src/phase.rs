@@ -589,6 +589,8 @@ impl PhaseKind {
                             base,
                             bytes: key_bytes,
                             stride,
+                            rows: 1,
+                            pitch: 0,
                             access,
                             work,
                         });
@@ -609,6 +611,8 @@ impl PhaseKind {
                             base: ring + i as u64 * slot_bytes,
                             bytes: slot_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Write,
                             work,
                         });
@@ -624,6 +628,8 @@ impl PhaseKind {
                             base: ring + from as u64 * slot_bytes,
                             bytes: slot_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work,
                         });
@@ -653,6 +659,8 @@ impl PhaseKind {
                             base: region + l as u64 * critical_bytes,
                             bytes: critical_bytes,
                             stride,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::ReadWrite,
                             work,
                         });
@@ -683,6 +691,8 @@ impl PhaseKind {
                             base: region + obj as u64 * object_bytes,
                             bytes: object_bytes,
                             stride,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::ReadWrite,
                             work,
                         });
@@ -736,6 +746,8 @@ impl PhaseKind {
                             base: region,
                             bytes: bytes_per_proc,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::ReadWrite,
                             work,
                         });

@@ -132,6 +132,8 @@ fn append_scrub(
         base,
         bytes: flush_bytes,
         stride: shape.line_bytes as u32,
+        rows: 1,
+        pitch: 0,
         access: Access::Read,
         work: 0,
     };
@@ -155,6 +157,8 @@ fn append_scrub(
                     base,
                     bytes: lines * shape.line_bytes,
                     stride: shape.line_bytes as u32,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Write,
                     work: 0,
                 });

@@ -1,8 +1,8 @@
 //! `AppBuild::footprint_lines` merges each program's address ranges
 //! before merging across programs. This pins its result to the
 //! single-pass algorithm it replaced — every range of every program in
-//! one sorted list — on every suite application and on the example
-//! scenarios.
+//! one sorted list, one range per walk row — on every suite application
+//! and on the example scenarios.
 
 use std::path::Path;
 
@@ -15,14 +15,24 @@ fn footprint_reference(build: &AppBuild, line_bytes: u64) -> usize {
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for prog in &build.programs {
         for seg in prog {
-            let (base, bytes) = match *seg {
-                Segment::Walk { base, bytes, .. } | Segment::RandomWalk { base, bytes, .. } => {
-                    (base, bytes.max(1))
-                }
-                Segment::Touch { addr, .. } => (addr, 1),
+            let (base, bytes, rows, pitch) = match *seg {
+                Segment::Walk {
+                    base,
+                    bytes,
+                    rows,
+                    pitch,
+                    ..
+                } => (base, bytes, rows, pitch),
+                Segment::RandomWalk { base, bytes, .. } => (base, bytes, 1, 0),
+                Segment::Touch { addr, .. } => (addr, 1, 1, 0),
                 _ => continue,
             };
-            ranges.push((base / line_bytes, (base + bytes - 1) / line_bytes + 1));
+            let mut row = base;
+            for _ in 0..rows {
+                let end = row + bytes.max(1);
+                ranges.push((row / line_bytes, (end - 1) / line_bytes + 1));
+                row += pitch;
+            }
         }
     }
     ranges.sort_unstable();

@@ -132,6 +132,8 @@ impl Application for ConfApp {
             base,
             bytes: flush_bytes,
             stride: shape.line_bytes as u32,
+            rows: 1,
+            pitch: 0,
             access: Access::Read,
             work: 0,
         };
@@ -182,6 +184,8 @@ impl Application for ConfApp {
                     base: region,
                     bytes: region_bytes,
                     stride: shape.line_bytes as u32,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Write,
                     work: 0,
                 });

@@ -86,6 +86,8 @@ impl Application for Barnes {
                 base: my_slice(p),
                 bytes: slice_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::Write,
                 work: 0,
             });
@@ -115,6 +117,8 @@ impl Application for Barnes {
                     base: my_slice(p),
                     bytes: slice_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Read,
                     work: 2,
                 });
@@ -148,6 +152,8 @@ impl Application for Barnes {
                     base: my_slice(p),
                     bytes: slice_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 20,
                 });

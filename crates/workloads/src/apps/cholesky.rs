@@ -114,6 +114,8 @@ impl Application for Cholesky {
                     base: panel(i),
                     bytes: self.panel_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Write,
                     work: 0,
                 });
@@ -136,6 +138,8 @@ impl Application for Cholesky {
                         base: src,
                         bytes: self.panel_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 50,
                     });
@@ -145,6 +149,8 @@ impl Application for Cholesky {
                         base: dst,
                         bytes: self.panel_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::ReadWrite,
                         work: 100,
                     });

@@ -88,6 +88,8 @@ impl Application for Fft {
                 base: a_chunks[p],
                 bytes: chunk_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::Write,
                 work: 0,
             });
@@ -100,22 +102,22 @@ impl Application for Fft {
                 // into the local scratch band.
                 for step in 0..nprocs {
                     let q = (p + step) % nprocs;
-                    for r in 0..rows_per_proc {
-                        segs.push(Segment::Walk {
-                            base: src[q]
-                                + r as u64 * row_bytes
-                                + p as u64 * rows_per_proc as u64 * COMPLEX_BYTES,
-                            bytes: rows_per_proc as u64 * COMPLEX_BYTES,
-                            stride: 8,
-                            access: Access::Read,
-                            work: 1,
-                        });
-                    }
+                    segs.push(Segment::Walk {
+                        base: src[q] + p as u64 * rows_per_proc as u64 * COMPLEX_BYTES,
+                        bytes: rows_per_proc as u64 * COMPLEX_BYTES,
+                        stride: 8,
+                        rows: rows_per_proc as u32,
+                        pitch: row_bytes,
+                        access: Access::Read,
+                        work: 1,
+                    });
                     // Scatter the block into the local band.
                     segs.push(Segment::Walk {
                         base: dst_chunk + q as u64 * rows_per_proc as u64 * COMPLEX_BYTES,
                         bytes: rows_per_proc as u64 * rows_per_proc as u64 * COMPLEX_BYTES,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Write,
                         work: 1,
                     });
@@ -130,6 +132,8 @@ impl Application for Fft {
                 base: b_chunks[p],
                 bytes: chunk_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::ReadWrite,
                 work: fft_work,
             });
@@ -142,6 +146,8 @@ impl Application for Fft {
                 base: a_chunks[p],
                 bytes: chunk_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::ReadWrite,
                 work: fft_work,
             });

@@ -84,6 +84,8 @@ impl Application for Lu {
                             base: block_base(i, j),
                             bytes: block_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Write,
                             work: 0,
                         });
@@ -98,6 +100,8 @@ impl Application for Lu {
                         base: block_base(k, k),
                         bytes: block_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::ReadWrite,
                         work: w_diag,
                     });
@@ -110,6 +114,8 @@ impl Application for Lu {
                             base: block_base(k, k),
                             bytes: block_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
@@ -117,6 +123,8 @@ impl Application for Lu {
                             base: block_base(k, j),
                             bytes: block_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::ReadWrite,
                             work: w_perim,
                         });
@@ -128,6 +136,8 @@ impl Application for Lu {
                             base: block_base(k, k),
                             bytes: block_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
@@ -135,6 +145,8 @@ impl Application for Lu {
                             base: block_base(i, k),
                             bytes: block_bytes,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::ReadWrite,
                             work: w_perim,
                         });
@@ -149,6 +161,8 @@ impl Application for Lu {
                                 base: block_base(i, k),
                                 bytes: block_bytes,
                                 stride: 8,
+                                rows: 1,
+                                pitch: 0,
                                 access: Access::Read,
                                 work: 0,
                             });
@@ -156,6 +170,8 @@ impl Application for Lu {
                                 base: block_base(k, j),
                                 bytes: block_bytes,
                                 stride: 8,
+                                rows: 1,
+                                pitch: 0,
                                 access: Access::Read,
                                 work: 0,
                             });
@@ -163,6 +179,8 @@ impl Application for Lu {
                                 base: block_base(i, j),
                                 bytes: block_bytes,
                                 stride: 8,
+                                rows: 1,
+                                pitch: 0,
                                 access: Access::ReadWrite,
                                 work: w_inner,
                             });

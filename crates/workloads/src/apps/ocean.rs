@@ -104,15 +104,15 @@ impl Application for Ocean {
             let mut segs: Vec<Segment> = Vec::new();
             // Initialization: write own tile of every grid.
             for &g in &grids {
-                for r in row0..row0 + tile_h {
-                    segs.push(Segment::Walk {
-                        base: addr(g, r, col0),
-                        bytes: tile_w as u64 * ELEM_BYTES,
-                        stride: 8,
-                        access: Access::Write,
-                        work: 0,
-                    });
-                }
+                segs.push(Segment::Walk {
+                    base: addr(g, row0, col0),
+                    bytes: tile_w as u64 * ELEM_BYTES,
+                    stride: 8,
+                    rows: tile_h as u32,
+                    pitch: row_bytes,
+                    access: Access::Write,
+                    work: 0,
+                });
             }
             segs.push(Segment::Barrier(bar.next()));
             segs.push(Segment::StartMeasurement);
@@ -140,6 +140,8 @@ impl Application for Ocean {
                             base: laddr(lrow0 - 1, lcol0),
                             bytes: ltw as u64 * ELEM_BYTES,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
@@ -147,6 +149,8 @@ impl Application for Ocean {
                             base: laddr(lrow0 + lth, lcol0),
                             bytes: ltw as u64 * ELEM_BYTES,
                             stride: 8,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
@@ -155,6 +159,8 @@ impl Application for Ocean {
                             base: laddr(lrow0, lcol0 - 1),
                             bytes: lth as u64 * lrow_bytes,
                             stride: lrow_bytes as u32,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
@@ -162,19 +168,21 @@ impl Application for Ocean {
                             base: laddr(lrow0, lcol0 + ltw),
                             bytes: lth as u64 * lrow_bytes,
                             stride: lrow_bytes as u32,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 0,
                         });
                         // Half the interior points: 5-point stencil.
-                        for r in lrow0..lrow0 + lth {
-                            segs.push(Segment::Walk {
-                                base: laddr(r, lcol0),
-                                bytes: (ltw as u64 * ELEM_BYTES / 2).max(8),
-                                stride: 16,
-                                access: Access::ReadWrite,
-                                work: 36,
-                            });
-                        }
+                        segs.push(Segment::Walk {
+                            base: laddr(lrow0, lcol0),
+                            bytes: (ltw as u64 * ELEM_BYTES / 2).max(8),
+                            stride: 16,
+                            rows: lth as u32,
+                            pitch: lrow_bytes,
+                            access: Access::ReadWrite,
+                            work: 36,
+                        });
                     }
                 }
             };
@@ -243,6 +251,21 @@ mod tests {
             |s| matches!(s, Segment::Walk { stride, .. } if *stride as u64 == 34 * ELEM_BYTES),
         );
         assert!(has_strided, "column reads must stride by a full row");
+    }
+
+    #[test]
+    fn programs_are_sized_to_the_loop_nest_not_the_grid() {
+        // One walk per tile: doubling the grid leaves every program's
+        // segment count unchanged.
+        let small = Ocean::tiny().build(&shape());
+        let large = Ocean {
+            grid: 66,
+            ..Ocean::tiny()
+        }
+        .build(&shape());
+        for (s, l) in small.programs.iter().zip(&large.programs) {
+            assert_eq!(s.len(), l.len());
+        }
     }
 
     #[test]

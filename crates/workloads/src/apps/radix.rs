@@ -91,6 +91,8 @@ impl Application for Radix {
                 base: k0[p],
                 bytes: chunk_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::Write,
                 work: 0,
             });
@@ -105,6 +107,8 @@ impl Application for Radix {
                     base: src[p],
                     bytes: chunk_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Read,
                     work: 2,
                 });
@@ -112,6 +116,8 @@ impl Application for Radix {
                     base: hist + p as u64 * hist_row_bytes,
                     bytes: hist_row_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Write,
                     work: 1,
                 });
@@ -127,6 +133,8 @@ impl Application for Radix {
                         base: hist + q as u64 * hist_row_bytes + p as u64 * slice_bytes,
                         bytes: slice_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 2,
                     });
@@ -135,6 +143,8 @@ impl Application for Radix {
                     base: hist + p as u64 * hist_row_bytes,
                     bytes: hist_row_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 1,
                 });
@@ -155,6 +165,8 @@ impl Application for Radix {
                         base: src[p] + (c as u64) * chunk_bytes / chunks as u64,
                         bytes: chunk_bytes / chunks as u64,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 8,
                     });

@@ -81,6 +81,8 @@ impl Application for WaterNsq {
                 base: my_base(p),
                 bytes: my_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::Write,
                 work: 0,
             });
@@ -93,6 +95,8 @@ impl Application for WaterNsq {
                     base: my_base(p),
                     bytes: my_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 80,
                 });
@@ -108,6 +112,8 @@ impl Application for WaterNsq {
                         base: mols + start as u64 * MOL_BYTES,
                         bytes: first as u64 * MOL_BYTES,
                         stride: 16,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 40,
                     });
@@ -116,6 +122,8 @@ impl Application for WaterNsq {
                             base: mols,
                             bytes: (half - first) as u64 * MOL_BYTES,
                             stride: 16,
+                            rows: 1,
+                            pitch: 0,
                             access: Access::Read,
                             work: 40,
                         });
@@ -137,6 +145,8 @@ impl Application for WaterNsq {
                     base: my_base(p),
                     bytes: my_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 50,
                 });
@@ -232,6 +242,8 @@ impl Application for WaterSpatial {
                 base: chunks[p],
                 bytes: chunk_bytes,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::Write,
                 work: 0,
             });
@@ -244,6 +256,8 @@ impl Application for WaterSpatial {
                     base: chunks[p],
                     bytes: chunk_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 90,
                 });
@@ -253,6 +267,8 @@ impl Application for WaterSpatial {
                     base: chunks[p],
                     bytes: chunk_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::Read,
                     work: 120,
                 });
@@ -263,6 +279,8 @@ impl Application for WaterSpatial {
                         base: chunks[q],
                         bytes: chunk_bytes / 4,
                         stride: 16,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 90,
                     });
@@ -273,6 +291,8 @@ impl Application for WaterSpatial {
                     base: chunks[p],
                     bytes: chunk_bytes,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 30,
                 });

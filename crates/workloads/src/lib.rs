@@ -70,10 +70,10 @@ pub struct AppBuild {
 
 impl AppBuild {
     /// Upper bound on the distinct cache lines the built programs can
-    /// touch: the union of every segment's address range, counted in
-    /// `line_bytes` lines. Machines pre-size their functional state
-    /// tables (memory images, version stamps) with this so that
-    /// steady-state execution never grows them.
+    /// touch: the union of every segment's address ranges (one per walk
+    /// row), counted in `line_bytes` lines. Machines pre-size their
+    /// functional state tables (memory images, version stamps) with this
+    /// so that steady-state execution never grows them.
     pub fn footprint_lines(&self, line_bytes: u64) -> usize {
         // Each program's ranges are merged on their own first, so the
         // scratch buffer holds one program's ranges at a time and only
@@ -82,16 +82,25 @@ impl AppBuild {
         let mut union: Vec<(u64, u64)> = Vec::new();
         for prog in &self.programs {
             scratch.clear();
-            scratch.extend(prog.iter().filter_map(|seg| {
-                let (base, bytes) = match *seg {
-                    Segment::Walk { base, bytes, .. } | Segment::RandomWalk { base, bytes, .. } => {
-                        (base, bytes.max(1))
-                    }
-                    Segment::Touch { addr, .. } => (addr, 1),
-                    _ => return None,
+            for seg in prog {
+                let (base, bytes, rows, pitch) = match *seg {
+                    Segment::Walk {
+                        base,
+                        bytes,
+                        rows,
+                        pitch,
+                        ..
+                    } => (base, bytes, rows, pitch),
+                    Segment::RandomWalk { base, bytes, .. } => (base, bytes, 1, 0),
+                    Segment::Touch { addr, .. } => (addr, 1, 1, 0),
+                    _ => continue,
                 };
-                Some((base / line_bytes, (base + bytes - 1) / line_bytes + 1))
-            }));
+                let bytes = bytes.max(1);
+                scratch.extend((0..rows as u64).map(|r| {
+                    let row = base + r * pitch;
+                    (row / line_bytes, (row + bytes - 1) / line_bytes + 1)
+                }));
+            }
             merge_ranges(&mut scratch);
             union.extend_from_slice(&scratch);
         }

@@ -181,6 +181,8 @@ impl Application for ProducerConsumer {
                         base: buffer,
                         bytes: self.buffer_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Write,
                         work: 2,
                     });
@@ -191,6 +193,8 @@ impl Application for ProducerConsumer {
                         base: buffer,
                         bytes: self.buffer_bytes,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::Read,
                         work: 2,
                     });
@@ -241,6 +245,8 @@ impl Application for PrivateCompute {
                     base: region,
                     bytes: self.bytes_per_proc,
                     stride: 8,
+                    rows: 1,
+                    pitch: 0,
                     access: Access::ReadWrite,
                     work: 4,
                 });

@@ -42,14 +42,27 @@ pub enum Segment {
     /// Pure computation for `cycles` cycles.
     Compute(u64),
     /// Touch every `stride`-th byte in `[base, base + bytes)` in order,
-    /// spending `work` compute cycles per element.
+    /// spending `work` compute cycles per element, then repeat for each
+    /// further row: row `r` covers `[base + r·pitch, base + r·pitch +
+    /// bytes)`.
+    ///
+    /// A one-row walk (`rows: 1`, `pitch` unused) is a single contiguous
+    /// sweep. A tile of a row-major grid is one walk: `bytes` is the
+    /// tile's width in bytes, `rows` its height and `pitch` the grid's
+    /// row length in bytes. A walk with no rows, or with `bytes <
+    /// stride`, touches nothing. Rows may overlap (`pitch < bytes`) and
+    /// are then touched again in full.
     Walk {
-        /// First byte address.
+        /// First byte address of the first row.
         base: u64,
-        /// Region length in bytes.
+        /// Row length in bytes.
         bytes: u64,
         /// Element stride in bytes (typically 8).
         stride: u32,
+        /// Number of rows.
+        rows: u32,
+        /// Distance in bytes from one row's base to the next.
+        pitch: u64,
         /// Element access kind.
         access: Access,
         /// Compute cycles interleaved after each element.
@@ -108,35 +121,56 @@ enum Phase {
 /// ```
 /// use ccn_workloads::{Access, Op, Segment, SegmentProgram};
 ///
+/// // Two rows of two elements, 64 bytes apart.
 /// let mut p = SegmentProgram::new(vec![Segment::Walk {
-///     base: 0, bytes: 16, stride: 8, access: Access::ReadWrite, work: 3,
+///     base: 0, bytes: 16, stride: 8, rows: 2, pitch: 64,
+///     access: Access::ReadWrite, work: 3,
 /// }]);
 /// assert_eq!(p.next_op(), Some(Op::Read(0)));
 /// assert_eq!(p.next_op(), Some(Op::Write(0)));
 /// assert_eq!(p.next_op(), Some(Op::Compute(3)));
 /// assert_eq!(p.next_op(), Some(Op::Read(8)));
+/// # for _ in 0..2 { p.next_op(); }
+/// assert_eq!(p.next_op(), Some(Op::Read(64)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SegmentProgram {
     segments: Vec<Segment>,
     seg: usize,
-    elem: u64,
     phase: Phase,
     rng: SplitMix64,
-    current_addr: u64,
+    /// Address of the current element.
+    addr: u64,
+    /// Base address of the current walk row.
+    row: u64,
+    /// Elements left in the current row (walks) or segment (random
+    /// walks), the current one included.
+    left: u64,
+    /// Walk rows left after the current one.
+    rows_left: u32,
+    /// Elements per walk row, or a random walk's slot count: divided
+    /// out once when the segment is entered, so no op divides.
+    per_row: u64,
 }
 
 impl SegmentProgram {
     /// Wraps a segment list into a resumable op stream.
     pub fn new(segments: Vec<Segment>) -> Self {
-        SegmentProgram {
+        let mut program = SegmentProgram {
             segments,
             seg: 0,
-            elem: 0,
             phase: Phase::First,
+            // Only segments entered by advancing reseed the generator, so
+            // a program that opens with a random walk draws from seed 0.
             rng: SplitMix64::new(0),
-            current_addr: 0,
-        }
+            addr: 0,
+            row: 0,
+            left: 0,
+            rows_left: 0,
+            per_row: 0,
+        };
+        program.enter_segment();
+        program
     }
 
     /// Number of segments in the program.
@@ -146,10 +180,43 @@ impl SegmentProgram {
 
     fn advance_segment(&mut self) {
         self.seg += 1;
-        self.elem = 0;
         self.phase = Phase::First;
         if let Some(Segment::RandomWalk { seed, .. }) = self.segments.get(self.seg) {
             self.rng = SplitMix64::new(*seed);
+        }
+        self.enter_segment();
+    }
+
+    /// Loads the element cursor for the segment at `seg`.
+    fn enter_segment(&mut self) {
+        match self.segments.get(self.seg) {
+            Some(&Segment::Walk {
+                base,
+                bytes,
+                stride,
+                rows,
+                ..
+            }) => {
+                self.per_row = if rows == 0 { 0 } else { bytes / stride as u64 };
+                self.rows_left = if self.per_row == 0 { 0 } else { rows - 1 };
+                self.row = base;
+                self.addr = base;
+                self.left = self.per_row;
+            }
+            Some(&Segment::RandomWalk {
+                bytes,
+                count,
+                stride,
+                ..
+            }) => {
+                self.left = count as u64;
+                // An empty random walk never draws a slot, so it must not
+                // divide by its stride either.
+                if count > 0 {
+                    self.per_row = (bytes / stride as u64).max(1);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -159,15 +226,14 @@ impl SegmentProgram {
             let segment = *self.segments.get(self.seg)?;
             match segment {
                 Segment::Compute(cycles) => {
+                    // Chunk very long computations so u32 is enough.
+                    if cycles > u32::MAX as u64 {
+                        self.segments[self.seg] = Segment::Compute(cycles - u32::MAX as u64);
+                        return Some(Op::Compute(u32::MAX));
+                    }
                     self.advance_segment();
                     if cycles == 0 {
                         continue;
-                    }
-                    // Chunk very long computations so u32 is enough.
-                    if cycles > u32::MAX as u64 {
-                        self.segments[self.seg - 1] = Segment::Compute(cycles - u32::MAX as u64);
-                        self.seg -= 1;
-                        return Some(Op::Compute(u32::MAX));
                     }
                     return Some(Op::Compute(cycles as u32));
                 }
@@ -191,41 +257,41 @@ impl SegmentProgram {
                     (Phase::Work, _) => unreachable!("Touch has no work phase"),
                 },
                 Segment::Walk {
-                    base,
-                    bytes,
                     stride,
+                    pitch,
                     access,
                     work,
+                    ..
                 } => {
-                    let count = bytes / stride as u64;
-                    if self.elem >= count {
-                        self.advance_segment();
-                        continue;
+                    if self.left == 0 {
+                        if self.rows_left == 0 {
+                            self.advance_segment();
+                            continue;
+                        }
+                        self.rows_left -= 1;
+                        self.row += pitch;
+                        self.addr = self.row;
+                        self.left = self.per_row;
                     }
-                    let addr = base + self.elem * stride as u64;
-                    if let Some(op) = self.element_op(addr, access, work, count) {
+                    if let Some(op) = self.element_op(access, work, stride) {
                         return Some(op);
                     }
                 }
                 Segment::RandomWalk {
                     base,
-                    bytes,
-                    count,
                     stride,
                     access,
                     work,
                     ..
                 } => {
-                    if self.elem >= count as u64 {
+                    if self.left == 0 {
                         self.advance_segment();
                         continue;
                     }
                     if self.phase == Phase::First {
-                        let slots = (bytes / stride as u64).max(1);
-                        self.current_addr = base + self.rng.next_below(slots) * stride as u64;
+                        self.addr = base + self.rng.next_below(self.per_row) * stride as u64;
                     }
-                    let addr = self.current_addr;
-                    if let Some(op) = self.element_op(addr, access, work, count as u64) {
+                    if let Some(op) = self.element_op(access, work, stride) {
                         return Some(op);
                     }
                 }
@@ -249,9 +315,12 @@ impl SegmentProgram {
         }
     }
 
-    /// Emits the next op for the current walk element; returns `None` if
-    /// the element is finished (caller loops to the next element).
-    fn element_op(&mut self, addr: u64, access: Access, work: u16, _count: u64) -> Option<Op> {
+    /// Emits the next op for the current walk element and steps to the
+    /// next element `stride` bytes on once its work is done; returns
+    /// `None` if the element is finished (caller loops to the next
+    /// element).
+    fn element_op(&mut self, access: Access, work: u16, stride: u32) -> Option<Op> {
+        let addr = self.addr;
         match self.phase {
             Phase::First => match access {
                 Access::Read => {
@@ -273,7 +342,8 @@ impl SegmentProgram {
             }
             Phase::Work => {
                 self.phase = Phase::First;
-                self.elem += 1;
+                self.left -= 1;
+                self.addr += stride as u64;
                 if work > 0 {
                     Some(Op::Compute(work as u32))
                 } else {
@@ -301,11 +371,12 @@ pub fn static_op_counts(segments: &[Segment]) -> (u64, u64) {
             Segment::Walk {
                 bytes,
                 stride,
+                rows,
                 access,
                 work,
                 ..
             } => {
-                let n = bytes / stride as u64;
+                let n = rows as u64 * (bytes / stride as u64);
                 let per = if access == Access::ReadWrite { 2 } else { 1 };
                 references += n * per;
                 instructions += n * (per + work as u64);
@@ -348,6 +419,8 @@ mod tests {
             base: 100,
             bytes: 24,
             stride: 8,
+            rows: 1,
+            pitch: 0,
             access: Access::Read,
             work: 0,
         }]));
@@ -360,6 +433,8 @@ mod tests {
             base: 0,
             bytes: 16,
             stride: 8,
+            rows: 1,
+            pitch: 0,
             access: Access::ReadWrite,
             work: 5,
         }]));
@@ -449,6 +524,8 @@ mod tests {
                 base: 0,
                 bytes: 64,
                 stride: 8,
+                rows: 1,
+                pitch: 0,
                 access: Access::ReadWrite,
                 work: 3,
             },

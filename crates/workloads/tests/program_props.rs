@@ -8,7 +8,7 @@
 use ccn_sim::SplitMix64;
 use ccn_workloads::segment::static_op_counts;
 use ccn_workloads::suite::{Scale, SuiteApp};
-use ccn_workloads::{Access, MachineShape, Op, Segment, SegmentProgram};
+use ccn_workloads::{Access, AppBuild, MachineShape, Op, Segment, SegmentProgram};
 
 fn random_segment(rng: &mut SplitMix64) -> Segment {
     match rng.next_below(4) {
@@ -17,6 +17,8 @@ fn random_segment(rng: &mut SplitMix64) -> Segment {
             base: rng.next_below(1 << 20),
             bytes: 8 + rng.next_below(2040),
             stride: [8u32, 16, 128][rng.next_below(3) as usize],
+            rows: 1,
+            pitch: 0,
             access: Access::ReadWrite,
             work: rng.next_below(50) as u16,
         },
@@ -60,6 +62,80 @@ fn dynamic_matches_static() {
         }
         assert_eq!(instr, want_instr, "case {case}");
         assert_eq!(refs, want_refs, "case {case}");
+    }
+}
+
+fn drain(segments: Vec<Segment>) -> Vec<Op> {
+    let mut program = SegmentProgram::new(segments);
+    std::iter::from_fn(|| program.next_op()).collect()
+}
+
+/// A multi-row walk is exactly its rows written out as one-row walks:
+/// the same op stream, the same static counts and the same footprint.
+/// Cases cycle through no rows, one row, rows shorter than the stride,
+/// overlapping rows (`pitch < bytes`), abutting rows (`pitch == bytes`)
+/// and gapped rows, with other segments on either side.
+#[test]
+fn multi_row_walk_equals_its_rows() {
+    for case in 0..192u64 {
+        let mut rng = SplitMix64::new(0x7215 + case);
+        let stride = [8u32, 16, 128][rng.next_below(3) as usize];
+        let bytes = if case % 5 == 0 {
+            rng.next_below(stride as u64)
+        } else {
+            8 + rng.next_below(1016)
+        };
+        let rows = match case % 6 {
+            0 => 0,
+            1 => 1,
+            _ => 2 + rng.next_below(7) as u32,
+        };
+        let pitch = match case % 4 {
+            0 => rng.next_below(bytes.max(1)),
+            1 => bytes,
+            2 => bytes + rng.next_below(4096),
+            _ => 64 * (1 + rng.next_below(64)),
+        };
+        let base = rng.next_below(1 << 20);
+        let access = [Access::Read, Access::Write, Access::ReadWrite][rng.next_below(3) as usize];
+        let work = [0u16, 1, 36][rng.next_below(3) as usize];
+        let walk = |base, rows, pitch| Segment::Walk {
+            base,
+            bytes,
+            stride,
+            rows,
+            pitch,
+            access,
+            work,
+        };
+        let before = random_segment(&mut rng);
+        let after = random_segment(&mut rng);
+
+        let tile = vec![before, walk(base, rows, pitch), after];
+        let mut split = vec![before];
+        split.extend((0..rows as u64).map(|r| walk(base + r * pitch, 1, 0)));
+        split.push(after);
+
+        assert_eq!(
+            static_op_counts(&tile),
+            static_op_counts(&split),
+            "case {case}"
+        );
+        let footprint = |segs: &Vec<Segment>, line_bytes| {
+            AppBuild {
+                programs: vec![segs.clone()],
+                placements: Vec::new(),
+            }
+            .footprint_lines(line_bytes)
+        };
+        for line_bytes in [32, 64, 128] {
+            assert_eq!(
+                footprint(&tile, line_bytes),
+                footprint(&split, line_bytes),
+                "case {case}: {line_bytes} B lines"
+            );
+        }
+        assert_eq!(drain(tile), drain(split), "case {case}");
     }
 }
 

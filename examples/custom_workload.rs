@@ -3,7 +3,8 @@
 //!
 //! The example models a work-stealing task pipeline: a shared task array
 //! is produced by even processors and consumed by odd ones, with a lock
-//! per queue slot group — a pattern not in the SPLASH-2 suite.
+//! per queue slot group — a pattern not in the SPLASH-2 suite. Consumers
+//! scan only the task headers, which a single multi-row walk describes.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -41,16 +42,29 @@ impl Application for TaskPipeline {
                 let base = buffer + pair * slice_tasks * self.task_bytes;
                 let lock = (pair % 16) as u32;
                 segs.push(Segment::Lock(lock));
-                segs.push(Segment::Walk {
-                    base,
-                    bytes: slice_tasks * self.task_bytes,
-                    stride: 16,
-                    access: if producer {
-                        Access::Write
-                    } else {
-                        Access::Read
-                    },
-                    work: if producer { 12 } else { 30 },
+                // Producers fill whole tasks. Consumers read only each
+                // task's 16-byte header: one walk with a row per task,
+                // `task_bytes` apart, describes the whole strided scan.
+                segs.push(if producer {
+                    Segment::Walk {
+                        base,
+                        bytes: slice_tasks * self.task_bytes,
+                        stride: 16,
+                        rows: 1,
+                        pitch: 0,
+                        access: Access::Write,
+                        work: 12,
+                    }
+                } else {
+                    Segment::Walk {
+                        base,
+                        bytes: 16,
+                        stride: 8,
+                        rows: slice_tasks as u32,
+                        pitch: self.task_bytes,
+                        access: Access::Read,
+                        work: 30,
+                    }
                 });
                 segs.push(Segment::Unlock(lock));
                 segs.push(Segment::Barrier(1 + round));

@@ -27,6 +27,8 @@ impl Application for TwoPhase {
                         base: shared + (p as u64 % 4) * 16 * 1024,
                         bytes: 16 * 1024,
                         stride: 8,
+                        rows: 1,
+                        pitch: 0,
                         access: Access::ReadWrite,
                         work: 3,
                     },
