@@ -308,8 +308,12 @@ impl Machine {
         // most one entry per line the workload can touch; sizing them to
         // the program footprint up front keeps steady-state inserts off
         // the allocator. The floor covers synthetic apps whose programs
-        // are generated rather than range-based.
-        let footprint = build.footprint_lines(cfg.line_bytes).max(1024);
+        // are generated rather than range-based. A processor's caches
+        // are filled only by its own misses, so they hold only lines of
+        // its own program's footprint, and reserve tag-store blocks for
+        // no more sets than that.
+        let footprint = build.footprint(cfg.line_bytes);
+        let table_lines = footprint.lines.max(1024);
         // Sized past the pending-event high-water mark so the queue's
         // slab never grows mid-run (the zero-alloc gate checks this):
         // the reference workloads peak around 34 concurrently pending
@@ -322,15 +326,16 @@ impl Machine {
         let procs: Vec<Proc> = build
             .programs
             .into_iter()
+            .zip(footprint.per_program)
             .enumerate()
-            .map(|(i, segments)| {
+            .map(|(i, (segments, lines))| {
                 PROC_RESUME.send(&mut queue, 0, i as u32);
                 Proc {
                     node: i / cfg.procs_per_node,
                     slot: (i % cfg.procs_per_node) as u8,
                     program: SegmentProgram::new(segments),
-                    l1: SetAssocCache::new(cfg.l1_geometry()),
-                    l2: SetAssocCache::new(cfg.l2_geometry()),
+                    l1: SetAssocCache::with_line_bound(cfg.l1_geometry(), lines),
+                    l2: SetAssocCache::with_line_bound(cfg.l2_geometry(), lines),
                     pending: None,
                     state: ProcState::Runnable,
                     local_time: 0,
@@ -362,8 +367,8 @@ impl Machine {
             nodes,
             net,
             sync,
-            versions: LineTable::with_capacity(footprint),
-            memory: LineTable::with_capacity(footprint),
+            versions: LineTable::with_capacity(table_lines),
+            memory: LineTable::with_capacity(table_lines),
             marker_count: 0,
             measure_start: 0,
             done_count: 0,
@@ -463,6 +468,11 @@ impl Machine {
     /// queue (capacity planning for the zero-alloc steady state).
     pub fn max_pending_events(&self) -> usize {
         self.queue.max_pending()
+    }
+
+    /// Each processor's `(L1, L2)` caches, by processor id.
+    pub fn proc_caches(&self) -> impl Iterator<Item = (&SetAssocCache, &SetAssocCache)> {
+        self.procs.iter().map(|p| (&p.l1, &p.l2))
     }
 
     /// Samples the stats spine at the sampler's cadence: once per due
@@ -658,10 +668,8 @@ impl Machine {
                         t += self.cfg.lat.l1_hit;
                         continue;
                     }
-                    let l2_state = proc.l2.access(line, AccessKind::Read);
-                    if l2_state.readable() {
+                    if let Some(payload) = proc.l2.read(line) {
                         t += self.cfg.lat.l2_hit;
-                        let payload = proc.l2.payload_of(line).unwrap_or(0);
                         let _ = proc.l1.fill(line, LineState::Shared, payload);
                         continue;
                     }
@@ -669,7 +677,7 @@ impl Machine {
                     self.procs[p].local_time = t;
                     self.procs[p].pending = Some(op);
                     self.procs[p].state = ProcState::Blocked;
-                    self.initiate_miss(p, line, false, l2_state, t);
+                    self.initiate_miss(p, line, false, LineState::Invalid, t);
                     return;
                 }
                 Op::Write(addr) => {
@@ -747,21 +755,16 @@ impl Machine {
     /// cached payload always equals the line's latest version (any staler
     /// copy would have been invalidated), which the counter asserts.
     fn commit_write(&mut self, p: usize, line: LineAddr) {
-        let cached = self.procs[p].l2.payload_of(line).unwrap_or(0);
         let version = self.versions.get_or_insert_with(line, || 0);
         *version += 1;
+        let v = *version;
+        let cached = self.procs[p].l2.store(line, v);
         debug_assert_eq!(
-            *version,
+            v,
             cached + 1,
             "writable copy of {line} held version {cached}, global counter says {}",
-            *version - 1
+            v - 1
         );
-        let v = *version;
-        let proc = &mut self.procs[p];
-        if proc.l2.state_of(line) == LineState::Exclusive {
-            proc.l2.set_state(line, LineState::Modified);
-        }
-        proc.l2.set_payload(line, v);
     }
 
     /// Resets all statistics at the start of the measured phase.

@@ -1,12 +1,17 @@
 //! Set-associative LRU cache with MESI line states.
 //!
-//! The tag store is one zeroed allocation, 24 bytes per way. A way's
-//! tag, eviction pin and MESI state share one meta word, so a probe reads
-//! one word per way of the set (at most the associativity, typically 4 —
-//! 32 adjacent bytes). The set's last-use ticks and payloads follow its
-//! meta words, touched only on a hit, fill or eviction. There are no side
-//! maps: residency is the tag match itself, so the probe and fill paths —
-//! the hottest in the whole simulator — allocate nothing.
+//! The tag store holds one block of 24 bytes per way for each set that
+//! has ever been filled, appended on the set's first fill; a per-set
+//! index of 32-bit block numbers points untouched sets at an all-empty
+//! block, so probing them is an ordinary miss. A way's line number,
+//! eviction pin and MESI state share one meta word, so a probe reads the
+//! index and then one word per way of the set (at most the
+//! associativity, typically 4 — 32 adjacent bytes). The set's last-use
+//! ticks and payloads follow its meta words, touched only on a hit, fill
+//! or eviction. There are no side maps: residency is the tag match
+//! itself. A cache built with a line bound reserves blocks for as many
+//! sets as its footprint can reach, so within that bound the probe and
+//! fill paths — the hottest in the whole simulator — allocate nothing.
 
 use crate::addr::LineAddr;
 
@@ -185,16 +190,21 @@ pub struct Eviction {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     set_mask: u64,
-    set_bits: u32,
     ways_per_set: usize,
-    /// The tag store in one zeroed allocation, laid out set by set: a
-    /// set's meta words (`tag << 3 | pinned << 2 | state`), then its
-    /// last-use ticks, then its payloads, so a probe and a hit's tick
-    /// update share one or two adjacent host cache lines. A way is named by the
-    /// index of its meta word. An all-zero meta word is an empty way, so
-    /// a new cache costs one `calloc` and pages in only as sets are
-    /// touched.
+    /// Words per block: a set's meta, tick and payload words.
+    block_words: usize,
+    /// Block number of each set in `words`; 0, the all-empty block,
+    /// until the set's first fill.
+    blocks: Box<[u32]>,
+    /// One block per touched set, in first-fill order, after the
+    /// all-zero block 0. A block holds the set's meta words
+    /// (`line << 3 | pinned << 2 | state`), then its last-use ticks,
+    /// then its payloads, so a probe and a hit's tick update share one
+    /// or two adjacent host cache lines. A way is named by the index of
+    /// its meta word; an all-zero meta word is an empty way.
     words: Vec<u64>,
+    /// Sets whose blocks `words` was reserved for up front.
+    reserved_sets: usize,
     tick: u64,
     stats: CacheStats,
     /// Number of non-Invalid ways, maintained incrementally.
@@ -202,20 +212,41 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry, with room for a
+    /// block in every set.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide into power-of-two sets.
     pub fn new(geometry: CacheGeometry) -> Self {
+        SetAssocCache::with_line_bound(geometry, usize::MAX)
+    }
+
+    /// Creates an empty cache that reserves blocks for at most `lines`
+    /// sets: a cache that will only ever hold lines from a footprint of
+    /// `lines` lines touches no more sets than that, so its fills never
+    /// grow the tag store. Fills past the bound still work; they grow it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not divide into power-of-two sets, or
+    /// has 2^32 sets or more.
+    pub fn with_line_bound(geometry: CacheGeometry, lines: usize) -> Self {
         let sets = geometry.sets();
+        assert!(sets < 1 << 32, "block numbers are 32-bit");
         let ways_per_set = geometry.ways as usize;
+        let block_words = 3 * ways_per_set;
+        let reserved_sets = lines.min(sets as usize);
+        let mut words = Vec::with_capacity((1 + reserved_sets) * block_words);
+        words.resize(block_words, 0);
         SetAssocCache {
             geometry,
             set_mask: sets - 1,
-            set_bits: (sets - 1).count_ones(),
             ways_per_set,
-            words: vec![0; 3 * ways_per_set * sets as usize],
+            block_words,
+            blocks: vec![0; sets as usize].into_boxed_slice(),
+            words,
+            reserved_sets,
             tick: 0,
             stats: CacheStats::default(),
             resident: 0,
@@ -250,15 +281,33 @@ impl SetAssocCache {
             .gauge("miss_ratio", self.stats.miss_ratio())
     }
 
-    /// Index of the first meta word of `line`'s set.
-    fn set_base(&self, line: LineAddr) -> usize {
-        (line.0 & self.set_mask) as usize * 3 * self.ways_per_set
+    /// Sets whose blocks were reserved when the cache was built.
+    pub fn reserved_sets(&self) -> usize {
+        self.reserved_sets
     }
 
-    /// The meta-word tag bits of `line`.
+    /// Sets that have been filled at least once, and so hold a block.
+    pub fn allocated_sets(&self) -> usize {
+        self.words.len() / self.block_words - 1
+    }
+
+    /// Bytes the tag store holds allocated: the set index plus the
+    /// block store's capacity.
+    pub fn tag_store_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.blocks) + self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Index of the first meta word of `line`'s set: in the all-empty
+    /// block 0 if the set was never filled.
     #[inline]
-    fn key(&self, line: LineAddr) -> u64 {
-        (line.0 >> self.set_bits) << TAG_SHIFT
+    fn set_base(&self, line: LineAddr) -> usize {
+        self.blocks[(line.0 & self.set_mask) as usize] as usize * self.block_words
+    }
+
+    /// The meta-word tag bits of `line`: the whole line number.
+    #[inline]
+    fn key(line: LineAddr) -> u64 {
+        line.0 << TAG_SHIFT
     }
 
     #[inline]
@@ -280,7 +329,7 @@ impl SetAssocCache {
     /// words of its set's ways (a handful of adjacent words — no hashing).
     #[inline]
     fn slot(&self, line: LineAddr) -> Option<usize> {
-        let key = self.key(line);
+        let key = Self::key(line);
         let base = self.set_base(line);
         self.words[base..base + self.ways_per_set]
             .iter()
@@ -305,6 +354,20 @@ impl SetAssocCache {
     /// whether a coherence action is needed; a hit for a write requires
     /// write permission.
     pub fn access(&mut self, line: LineAddr, kind: AccessKind) -> LineState {
+        self.access_way(line, kind).0
+    }
+
+    /// A read [`access`](SetAssocCache::access) that returns the line's
+    /// payload on a hit, in the same probe.
+    pub fn read(&mut self, line: LineAddr) -> Option<u64> {
+        let (state, i) = self.access_way(line, AccessKind::Read);
+        state.readable().then(|| self.payload_at(i))
+    }
+
+    /// The access behind [`access`](SetAssocCache::access): the pre-access
+    /// state and, if the line is resident, the way holding it.
+    #[inline]
+    fn access_way(&mut self, line: LineAddr, kind: AccessKind) -> (LineState, usize) {
         self.tick += 1;
         match self.slot(line) {
             Some(i) => {
@@ -322,14 +385,14 @@ impl SetAssocCache {
                     (AccessKind::Write, true) => self.stats.write_hits += 1,
                     (AccessKind::Write, false) => self.stats.write_misses += 1,
                 }
-                state
+                (state, i)
             }
             None => {
                 match kind {
                     AccessKind::Read => self.stats.read_misses += 1,
                     AccessKind::Write => self.stats.write_misses += 1,
                 }
-                LineState::Invalid
+                (LineState::Invalid, 0)
             }
         }
     }
@@ -340,8 +403,8 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the line is already resident (fills must pair with misses)
-    /// or its tag does not fit the meta word (a line number of 2^61 or
-    /// more — beyond any 64-bit byte address).
+    /// or does not fit the meta word (a line number of 2^61 or more —
+    /// beyond any 64-bit byte address).
     pub fn fill(&mut self, line: LineAddr, state: LineState, payload: u64) -> Option<Eviction> {
         assert!(
             self.slot(line).is_none(),
@@ -349,10 +412,14 @@ impl SetAssocCache {
         );
         assert!(state != LineState::Invalid, "cannot fill an Invalid line");
         assert!(
-            line.0 >> self.set_bits >> (64 - TAG_SHIFT) == 0,
-            "tag of {line} does not fit the meta word"
+            line.0 >> (64 - TAG_SHIFT) == 0,
+            "line {line} does not fit the meta word"
         );
         self.tick += 1;
+        let set = (line.0 & self.set_mask) as usize;
+        if self.blocks[set] == 0 {
+            self.add_block(set);
+        }
         let base = self.set_base(line);
         // Prefer an invalid way; otherwise evict true-LRU among unpinned.
         let mut victim = usize::MAX;
@@ -388,17 +455,23 @@ impl SetAssocCache {
         } else {
             None
         };
-        self.words[victim] = self.key(line) | state.code();
+        self.words[victim] = Self::key(line) | state.code();
         self.words[victim + self.ways_per_set] = self.tick;
         self.words[victim + 2 * self.ways_per_set] = payload;
         self.resident += 1;
         evicted
     }
 
+    /// Appends an empty block for `set`'s first fill.
+    #[cold]
+    #[inline(never)]
+    fn add_block(&mut self, set: usize) {
+        self.blocks[set] = (self.words.len() / self.block_words) as u32;
+        self.words.resize(self.words.len() + self.block_words, 0);
+    }
+
     fn line_in_way(&self, i: usize) -> LineAddr {
-        let set = (i / (3 * self.ways_per_set)) as u64;
-        let tag = self.words[i] >> TAG_SHIFT;
-        LineAddr((tag << self.set_bits) | set)
+        LineAddr(self.words[i] >> TAG_SHIFT)
     }
 
     /// Empties way `i`: a zero meta word is Invalid and unpinned.
@@ -434,16 +507,20 @@ impl SetAssocCache {
         Some(old)
     }
 
-    /// Updates the payload of a resident line (a completed store).
+    /// Records a completed store to a resident line: promotes Exclusive to
+    /// Modified, installs `payload` and returns the payload it replaces.
     ///
     /// # Panics
     ///
     /// Panics if the line is not resident.
-    pub fn set_payload(&mut self, line: LineAddr, payload: u64) {
+    pub fn store(&mut self, line: LineAddr, payload: u64) -> u64 {
         let i = self
             .slot(line)
-            .unwrap_or_else(|| panic!("set_payload on non-resident line {line}"));
-        self.words[i + 2 * self.ways_per_set] = payload;
+            .unwrap_or_else(|| panic!("store to non-resident line {line}"));
+        if self.state_at(i) == LineState::Exclusive {
+            self.words[i] = (self.words[i] & !STATE_BITS) | LineState::Modified.code();
+        }
+        std::mem::replace(&mut self.words[i + 2 * self.ways_per_set], payload)
     }
 
     /// Pins a resident line against eviction (an outstanding transaction
@@ -463,13 +540,17 @@ impl SetAssocCache {
         }
     }
 
-    /// Iterates over all resident lines as `(line, state, payload)`, in
-    /// way order.
+    /// Iterates over all resident lines as `(line, state, payload)`, set
+    /// by set and in way order within a set.
     pub fn iter_resident(&self) -> impl Iterator<Item = (LineAddr, LineState, u64)> + '_ {
         let a = self.ways_per_set;
-        (0..self.words.len())
-            .step_by(3 * a)
-            .flat_map(move |base| base..base + a)
+        self.blocks
+            .iter()
+            .filter(|&&b| b != 0)
+            .flat_map(move |&b| {
+                let base = b as usize * self.block_words;
+                base..base + a
+            })
             .filter(|&i| self.words[i] & STATE_BITS != 0)
             .map(|i| (self.line_in_way(i), self.state_at(i), self.payload_at(i)))
     }

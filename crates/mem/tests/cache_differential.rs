@@ -7,12 +7,15 @@
 //! one record per way with separate fields (tag, state, pin, payload,
 //! last use) and picks victims the obvious way: the first Invalid way,
 //! else the unpinned way with the oldest use. Seeded random call
-//! sequences drive both through every mutating entry point and compare
-//! each return value, the statistics, and `iter_resident` order.
+//! sequences drive both through every entry point and compare
+//! each return value, the statistics, and `iter_resident` order. Caches
+//! built with a line bound run the same sequences: a bound changes only
+//! how many set blocks are reserved up front, never what the cache does.
 
 use ccn_mem::cache::CacheStats;
 use ccn_mem::{AccessKind, CacheGeometry, Eviction, LineAddr, LineState, SetAssocCache};
 use ccn_sim::SplitMix64;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, Copy)]
 struct Way {
@@ -30,6 +33,8 @@ struct ReferenceCache {
     ways: Vec<Way>,
     tick: u64,
     stats: CacheStats,
+    /// Sets that have ever been filled.
+    filled_sets: BTreeSet<u64>,
 }
 
 impl ReferenceCache {
@@ -49,6 +54,7 @@ impl ReferenceCache {
             ways: vec![empty; sets as usize * assoc],
             tick: 0,
             stats: CacheStats::default(),
+            filled_sets: BTreeSet::new(),
         }
     }
 
@@ -105,6 +111,7 @@ impl ReferenceCache {
 
     fn fill(&mut self, line: LineAddr, state: LineState, payload: u64) -> Option<Eviction> {
         self.tick += 1;
+        self.filled_sets.insert(line.0 % self.sets);
         let v = self.victim(line).expect("caller checked for a victim");
         let old = self.ways[v];
         let evicted = (old.state != LineState::Invalid).then(|| {
@@ -183,13 +190,18 @@ fn assert_same_stats(a: CacheStats, b: CacheStats, ctx: &str) {
     );
 }
 
-/// Runs `ops` random calls on both caches. Lines come from a universe
-/// a few times the cache's capacity, so sets overflow and evict; every
-/// eighth line sits just below line number 2^60, so tag packing and line
-/// reconstruction see tags far wider than the set index.
-fn differential_run(geometry: CacheGeometry, seed: u64, ops: u32) {
+/// Runs `ops` random calls on both caches, the real one built with
+/// `bound` (`None`: [`SetAssocCache::new`]), and returns the number of
+/// sets the calls filled. Lines come from a universe a few times the
+/// cache's capacity, so sets overflow and evict; every eighth line sits
+/// just below line number 2^60, so tag packing and line reconstruction
+/// see tags far wider than the set index.
+fn differential_run(geometry: CacheGeometry, seed: u64, ops: u32, bound: Option<usize>) -> usize {
     let mut rng = SplitMix64::new(seed);
-    let mut cache = SetAssocCache::new(geometry);
+    let mut cache = match bound {
+        Some(lines) => SetAssocCache::with_line_bound(geometry, lines),
+        None => SetAssocCache::new(geometry),
+    };
     let mut model = ReferenceCache::new(geometry);
     let capacity = geometry.size_bytes / geometry.line_bytes;
     let sets = geometry.sets();
@@ -212,7 +224,15 @@ fn differential_run(geometry: CacheGeometry, seed: u64, ops: u32) {
                 } else {
                     AccessKind::Read
                 };
-                assert_eq!(cache.access(line, kind), model.access(line, kind), "{ctx}");
+                if kind == AccessKind::Read && rng.chance(0.5) {
+                    let state = model.access(line, kind);
+                    let want = state
+                        .readable()
+                        .then(|| model.ways[model.slot(line).unwrap()].payload);
+                    assert_eq!(cache.read(line), want, "read {ctx}");
+                } else {
+                    assert_eq!(cache.access(line, kind), model.access(line, kind), "{ctx}");
+                }
             }
             3..=4 if !resident && model.victim(line).is_some() => {
                 let state = STATES[rng.next_below(3) as usize];
@@ -246,9 +266,13 @@ fn differential_run(geometry: CacheGeometry, seed: u64, ops: u32) {
             }
             9 if resident => {
                 let payload = rng.next_u64();
-                cache.set_payload(line, payload);
                 let i = model.slot(line).unwrap();
+                let old = model.ways[i].payload;
+                if model.ways[i].state == LineState::Exclusive {
+                    model.ways[i].state = LineState::Modified;
+                }
                 model.ways[i].payload = payload;
+                assert_eq!(cache.store(line, payload), old, "store {ctx}");
             }
             _ => {}
         }
@@ -277,6 +301,10 @@ fn differential_run(geometry: CacheGeometry, seed: u64, ops: u32) {
     }
     assert_eq!(cache.iter_resident().collect::<Vec<_>>(), model.resident());
     assert_same_stats(cache.stats(), model.stats, "at the end");
+    let sets = geometry.sets() as usize;
+    assert_eq!(cache.reserved_sets(), bound.unwrap_or(sets).min(sets));
+    assert_eq!(cache.allocated_sets(), model.filled_sets.len());
+    model.filled_sets.len()
 }
 
 #[test]
@@ -288,13 +316,13 @@ fn random_call_sequences_match_reference_model() {
         ways: 4,
     };
     for seed in [1, 0xdead_beef, 42, 7_777_777, 0x0123_4567_89ab_cdef] {
-        differential_run(small, seed, 50_000);
+        differential_run(small, seed, 50_000, None);
     }
 }
 
 #[test]
 fn paper_l1_geometry_matches_reference_model() {
-    differential_run(CacheGeometry::l1(32), 2024, 100_000);
+    differential_run(CacheGeometry::l1(32), 2024, 100_000, None);
 }
 
 #[test]
@@ -309,6 +337,29 @@ fn direct_mapped_and_fully_associative_match_reference_model() {
         line_bytes: 32,
         ways: 8,
     };
-    differential_run(direct, 5, 20_000);
-    differential_run(full, 6, 20_000);
+    differential_run(direct, 5, 20_000, None);
+    differential_run(full, 6, 20_000, None);
+}
+
+#[test]
+fn bounded_caches_match_reference_model() {
+    // 2,048 sets, so a short stream leaves most of them untouched.
+    let l2 = CacheGeometry::l2(128);
+    for seed in [3, 0xfeed] {
+        let filled = differential_run(l2, seed, 6_000, None);
+        assert!(filled > 8 && filled < 2_048, "{filled} sets filled");
+        // No reserved blocks, fewer than the stream needs, and exactly
+        // as many: each run grows (or not) through the same fills.
+        for bound in [0, filled / 2, filled] {
+            differential_run(l2, seed, 6_000, Some(bound));
+        }
+    }
+    let small = CacheGeometry {
+        size_bytes: 32 * 64,
+        line_bytes: 64,
+        ways: 4,
+    };
+    for bound in [0, 3, 8, usize::MAX] {
+        differential_run(small, 11, 20_000, Some(bound));
+    }
 }

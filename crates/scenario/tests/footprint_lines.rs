@@ -1,19 +1,20 @@
-//! `AppBuild::footprint_lines` merges each program's address ranges
-//! before merging across programs. This pins its result to the
-//! single-pass algorithm it replaced — every range of every program in
-//! one sorted list, one range per walk row — on every suite application
-//! and on the example scenarios.
+//! `AppBuild::footprint` merges each program's address ranges before
+//! merging across programs. This pins its union and per-program counts
+//! to the single-pass algorithm it replaced — every range of the
+//! programs in one sorted list, one range per walk row — on every suite
+//! application and on the example scenarios.
 
 use std::path::Path;
 
 use ccn_scenario::{Scenario, ScenarioSpec};
 use ccn_workloads::suite::{Scale, SuiteApp};
-use ccn_workloads::{AppBuild, Application, MachineShape, Segment};
+use ccn_workloads::{Application, MachineShape, Segment};
 
-/// The single-pass union: all ranges in one list, sorted, swept once.
-fn footprint_reference(build: &AppBuild, line_bytes: u64) -> usize {
+/// The single-pass union: all ranges of `programs` in one list, sorted,
+/// swept once.
+fn footprint_reference(programs: &[Vec<Segment>], line_bytes: u64) -> usize {
     let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for prog in &build.programs {
+    for prog in programs {
         for seg in prog {
             let (base, bytes, rows, pitch) = match *seg {
                 Segment::Walk {
@@ -67,14 +68,25 @@ fn shape(nodes: usize, procs_per_node: usize) -> MachineShape {
 fn assert_matches_reference(app: &dyn Application, shape: &MachineShape) {
     let build = app.build(shape);
     for line_bytes in [32, 64, 128] {
-        assert_eq!(
-            build.footprint_lines(line_bytes),
-            footprint_reference(&build, line_bytes),
+        let ctx = format!(
             "{} on {}x{} with {line_bytes} B lines",
             app.name(),
             shape.nodes,
             shape.procs_per_node
         );
+        let footprint = build.footprint(line_bytes);
+        assert_eq!(
+            footprint.lines,
+            footprint_reference(&build.programs, line_bytes),
+            "{ctx}"
+        );
+        assert_eq!(build.footprint_lines(line_bytes), footprint.lines, "{ctx}");
+        let per_program: Vec<usize> = build
+            .programs
+            .iter()
+            .map(|prog| footprint_reference(std::slice::from_ref(prog), line_bytes))
+            .collect();
+        assert_eq!(footprint.per_program, per_program, "{ctx}");
     }
 }
 

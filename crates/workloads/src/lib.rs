@@ -68,18 +68,31 @@ pub struct AppBuild {
     pub placements: Vec<(u64, u16)>,
 }
 
+/// The cache lines a built workload can touch, from one walk over its
+/// programs: see [`AppBuild::footprint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Footprint {
+    /// Lines in the union of every program's address ranges.
+    pub lines: usize,
+    /// Lines in each program's own ranges, indexed by processor id.
+    pub per_program: Vec<usize>,
+}
+
 impl AppBuild {
-    /// Upper bound on the distinct cache lines the built programs can
-    /// touch: the union of every segment's address ranges (one per walk
-    /// row), counted in `line_bytes` lines. Machines pre-size their
-    /// functional state tables (memory images, version stamps) with this
-    /// so that steady-state execution never grows them.
-    pub fn footprint_lines(&self, line_bytes: u64) -> usize {
+    /// Upper bounds on the distinct cache lines the built programs can
+    /// touch, counted in `line_bytes` lines: for the whole workload, the
+    /// union of every segment's address ranges (one per walk row), and
+    /// for each processor, the ranges of its own program. Machines
+    /// pre-size their functional state tables (memory images, version
+    /// stamps) with the first and each processor's caches with the
+    /// second, so that steady-state execution never grows them.
+    pub fn footprint(&self, line_bytes: u64) -> Footprint {
         // Each program's ranges are merged on their own first, so the
         // scratch buffer holds one program's ranges at a time and only
         // the (few) merged intervals accumulate across programs.
         let mut scratch: Vec<(u64, u64)> = Vec::new();
         let mut union: Vec<(u64, u64)> = Vec::new();
+        let mut per_program = Vec::with_capacity(self.programs.len());
         for prog in &self.programs {
             scratch.clear();
             for seg in prog {
@@ -102,11 +115,25 @@ impl AppBuild {
                 }));
             }
             merge_ranges(&mut scratch);
+            per_program.push(range_lines(&scratch));
             union.extend_from_slice(&scratch);
         }
         merge_ranges(&mut union);
-        union.iter().map(|(start, end)| end - start).sum::<u64>() as usize
+        Footprint {
+            lines: range_lines(&union),
+            per_program,
+        }
     }
+
+    /// The union line count of [`footprint`](AppBuild::footprint).
+    pub fn footprint_lines(&self, line_bytes: u64) -> usize {
+        self.footprint(line_bytes).lines
+    }
+}
+
+/// Lines covered by disjoint half-open line ranges.
+fn range_lines(ranges: &[(u64, u64)]) -> usize {
+    ranges.iter().map(|(start, end)| end - start).sum::<u64>() as usize
 }
 
 /// Sorts half-open `[start, end)` ranges and coalesces overlapping or
